@@ -16,14 +16,20 @@
 //   COMMSCHED_SCHED_SCALE_FLOOR     minimum fast-engine jobs/sec across all
 //                                    cells; below it the bench exits 1
 //
+// The JSON records the host CPU model, its core count and the commit of
+// the checkout (`git describe --always --dirty`), so a snapshot says which
+// machine and code it measured.
+//
 // Exits nonzero on any engine divergence or floor violation. Writes
 // BENCH_sched_scale.json at the cwd (run from the repo root).
+#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/allocator_factory.hpp"
@@ -65,6 +71,33 @@ struct Cell {
   double speedup = 0.0;      ///< 0 when the reference engine was not timed
   int identical = -1;        ///< 1/0 checked, -1 not checked at this size
 };
+
+// The first "model name" of /proc/cpuinfo, or "unknown".
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t start =
+        line.find_first_not_of(" \t", line.find(':') + 1);
+    if (start != std::string::npos) return line.substr(start);
+  }
+  return "unknown";
+}
+
+// `git describe --always --dirty` of the working directory, or "unknown"
+// outside a git checkout.
+std::string source_commit() {
+  FILE* pipe = popen("git describe --always --dirty 2>/dev/null", "r");
+  if (pipe == nullptr) return "unknown";
+  char line[128] = {};
+  const bool got = std::fgets(line, sizeof line, pipe) != nullptr;
+  pclose(pipe);
+  std::string id = got ? line : "";
+  while (!id.empty() && std::isspace(static_cast<unsigned char>(id.back())))
+    id.pop_back();
+  return id.empty() ? "unknown" : id;
+}
 
 long long env_int(const char* name, long long fallback) {
   const char* v = std::getenv(name);
@@ -200,6 +233,9 @@ int run() {
   json << "{\n"
        << "  \"bench\": \"sched_scale\",\n"
        << "  \"machine\": \"two-level tree, 16 leaves x 32 nodes\",\n"
+       << "  \"host\": \"" << cpu_model() << "\",\n"
+       << "  \"nproc\": " << std::thread::hardware_concurrency() << ",\n"
+       << "  \"commit\": \"" << source_commit() << "\",\n"
        << "  \"workload\": \"Theta profile scaled to 512 nodes, load 0.95, "
           "undecorated (no pricing)\",\n"
        << "  \"metric\": \"jobs per second through run_continuous\",\n"

@@ -35,43 +35,145 @@ ClusterState::ClusterState(const Tree& tree) : tree_(&tree) {
                           "every node must hang off exactly one leaf");
 
   stamp_.assign(static_cast<std::size_t>(tree.node_count()), 0);
+
+  node_leaf_.resize(static_cast<std::size_t>(tree.node_count()));
+  for (NodeId n = 0; n < tree.node_count(); ++n)
+    node_leaf_[static_cast<std::size_t>(n)] = tree.leaf_of(n);
+  groups_.reserve(static_cast<std::size_t>(tree.leaf_count()));
+  grouped_.resize(static_cast<std::size_t>(tree.node_count()));
+  leaf_group_.assign(static_cast<std::size_t>(tree.switch_count()), -1);
 }
 
 // hot-path: no-alloc
-void ClusterState::transition(NodeId n, JobId new_owner, bool comm, bool io,
-                              LoadUnits load, int delta) {
-  node_owner_[static_cast<std::size_t>(n)] = new_owner;
-  const SwitchId leaf = tree_->leaf_of(n);
-
-  // Maintain the leaf's packed sorted free prefix before the counters move:
-  // leaf_free() still reflects the pre-transition free count here.
-  const std::int32_t off = leaf_off_[static_cast<std::size_t>(leaf)];
-  NodeId* seg = free_list_.data() + off;
-  const int free_before = leaf_free(leaf);
-  if (delta > 0) {
-    // Node became busy: remove it from the sorted prefix.
-    NodeId* pos = std::lower_bound(seg, seg + free_before, n);
-    COMMSCHED_ASSERT_MSG(pos != seg + free_before && *pos == n,
-                         "free index out of sync: allocated node not free");
-    std::copy(pos + 1, seg + free_before, pos);
-  } else {
-    // Node became free: insert it into the sorted prefix.
-    NodeId* pos = std::lower_bound(seg, seg + free_before, n);
-    std::copy_backward(pos, seg + free_before, seg + free_before + 1);
-    *pos = n;
+void ClusterState::group_by_leaf(std::span<const NodeId> nodes) {
+  // One pass counts each leaf's nodes run by run and checks whether each
+  // leaf's nodes form one ascending run. The allocators list them that way
+  // (they take a leaf's nodes from its ascending free index), and then the
+  // groups point into `nodes` and nothing is copied.
+  groups_.clear();
+  bool runs = true;
+  SwitchId run_leaf = kInvalidSwitch;
+  std::int32_t run_group = -1;
+  std::size_t run_start = 0;
+  const auto close_run = [&](std::size_t end) {
+    if (run_group >= 0)
+      groups_[static_cast<std::size_t>(run_group)].count +=
+          static_cast<std::int32_t>(end - run_start);
+  };
+  NodeId prev = -1;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const NodeId n = nodes[i];
+    const SwitchId leaf = node_leaf_[static_cast<std::size_t>(n)];
+    if (leaf == run_leaf) {
+      runs = runs && n > prev;
+    } else {
+      close_run(i);
+      std::int32_t& g = leaf_group_[static_cast<std::size_t>(leaf)];
+      if (g < 0) {
+        g = static_cast<std::int32_t>(groups_.size());
+        // contract-trusted: no-alloc: capacity reserved at construction for
+        // one group per leaf
+        groups_.push_back({leaf, 0, nodes.data() + i});
+      } else {
+        runs = false;  // the leaf's nodes are split over several runs
+      }
+      run_leaf = leaf;
+      run_group = g;
+      run_start = i;
+    }
+    prev = n;
   }
+  close_run(nodes.size());
+  for (const LeafGroup& g : groups_)
+    leaf_group_[static_cast<std::size_t>(g.leaf)] = -1;
+  if (runs) return;
 
-  leaf_busy_[static_cast<std::size_t>(leaf)] += delta;
-  if (comm) leaf_comm_[static_cast<std::size_t>(leaf)] += delta;
-  if (io) leaf_io_[static_cast<std::size_t>(leaf)] += delta;
-  const LoadUnits load_delta = load * delta;
-  leaf_load_[static_cast<std::size_t>(leaf)] += load_delta;
-  for (SwitchId s = leaf; s != kInvalidSwitch; s = tree_->parent(s)) {
-    switch_free_[static_cast<std::size_t>(s)] -= delta;
-    switch_load_[static_cast<std::size_t>(s)] += load_delta;
+  // Otherwise scatter the nodes leaf by leaf into grouped_ (leaf_group_
+  // holds each leaf's write cursor) and sort a leaf's share only if the
+  // caller listed it out of order.
+  std::int32_t begin = 0;
+  for (LeafGroup& g : groups_) {
+    g.first = grouped_.data() + begin;
+    leaf_group_[static_cast<std::size_t>(g.leaf)] = begin;
+    begin += g.count;
   }
-  free_total_ -= delta;
-  load_total_ += load_delta;
+  for (const NodeId n : nodes) {
+    std::int32_t& pos = leaf_group_[static_cast<std::size_t>(
+        node_leaf_[static_cast<std::size_t>(n)])];
+    grouped_[static_cast<std::size_t>(pos++)] = n;
+  }
+  for (const LeafGroup& g : groups_) {
+    std::int32_t& end = leaf_group_[static_cast<std::size_t>(g.leaf)];
+    NodeId* last = grouped_.data() + end;
+    if (!std::is_sorted(last - g.count, last)) std::sort(last - g.count, last);
+    end = -1;
+  }
+}
+
+// hot-path: no-alloc
+void ClusterState::transition(const JobRec& rec, int delta) {
+  const JobId new_owner = delta > 0 ? rec.id : kInvalidJob;
+  for (const NodeId n : rec.nodes)
+    node_owner_[static_cast<std::size_t>(n)] = new_owner;
+
+  group_by_leaf(rec.nodes);
+  for (const LeafGroup& g : groups_) {
+    const auto leaf = static_cast<std::size_t>(g.leaf);
+    NodeId* seg = free_list_.data() + leaf_off_[leaf];
+    const int leaf_size = leaf_nodes(g.leaf);
+    const int free_before = leaf_size - leaf_busy_[leaf];
+    const NodeId* moved = g.first;
+    if (delta > 0) {
+      // Compact the job's nodes out of the ascending free prefix in one
+      // pass; every entry that stays must still be free.
+      int kept = 0;
+      int taken = 0;
+      for (int i = 0; i < free_before; ++i) {
+        const NodeId n = seg[i];
+        if (taken < g.count && n == moved[taken]) {
+          ++taken;
+          continue;
+        }
+        COMMSCHED_ASSERT_MSG(
+            node_owner_[static_cast<std::size_t>(n)] == kInvalidJob,
+            "free index out of sync: listed node is allocated");
+        seg[kept++] = n;
+      }
+      COMMSCHED_ASSERT_EQ_MSG(taken, g.count,
+                              "free index out of sync: allocated node not "
+                              "listed as free");
+    } else {
+      // Merge the job's nodes back in from the back, so every entry moves
+      // at most once: O(free_before + count).
+      COMMSCHED_ASSERT_LE_MSG(free_before + g.count, leaf_size,
+                              "free index out of sync: leaf overfilled");
+      int i = free_before - 1;
+      int w = free_before + g.count - 1;
+      for (int j = g.count - 1; j >= 0; --w) {
+        if (i >= 0 && seg[i] > moved[j]) {
+          seg[w] = seg[i--];
+        } else {
+          COMMSCHED_ASSERT_MSG(i < 0 || seg[i] != moved[j],
+                               "free index out of sync: released node "
+                               "already listed as free");
+          seg[w] = moved[j--];
+        }
+      }
+    }
+
+    const int busy_delta = delta * g.count;
+    const LoadUnits load_delta = rec.load * busy_delta;
+    leaf_busy_[leaf] += busy_delta;
+    if (rec.comm_intensive) leaf_comm_[leaf] += busy_delta;
+    if (rec.io_intensive) leaf_io_[leaf] += busy_delta;
+    leaf_load_[leaf] += load_delta;
+    for (SwitchId s = g.leaf; s != kInvalidSwitch; s = tree_->parent(s)) {
+      switch_free_[static_cast<std::size_t>(s)] -= busy_delta;
+      switch_load_[static_cast<std::size_t>(s)] += load_delta;
+    }
+    free_total_ -= busy_delta;
+    load_total_ += load_delta;
+  }
 }
 
 // hot-path: no-alloc
@@ -140,13 +242,15 @@ void ClusterState::allocate(JobId job, bool comm_intensive,
     std::fill(stamp_.begin(), stamp_.end(), 0);
     epoch_ = 1;
   }
+  const NodeId node_count = tree_->node_count();
   for (const NodeId n : nodes) {
-    COMMSCHED_ASSERT_MSG(n >= 0 && n < tree_->node_count(),
-                         "node id out of range");
-    COMMSCHED_ASSERT_MSG(stamp_[static_cast<std::size_t>(n)] != epoch_,
-                         "duplicate node in allocation");
-    stamp_[static_cast<std::size_t>(n)] = epoch_;
-    COMMSCHED_ASSERT_MSG(is_free(n), "node already allocated");
+    COMMSCHED_ASSERT_MSG(n >= 0 && n < node_count, "node id out of range");
+    std::uint32_t& stamp = stamp_[static_cast<std::size_t>(n)];
+    COMMSCHED_ASSERT_MSG(stamp != epoch_, "duplicate node in allocation");
+    stamp = epoch_;
+    COMMSCHED_ASSERT_MSG(node_owner_[static_cast<std::size_t>(n)] ==
+                             kInvalidJob,
+                         "node already allocated");
   }
   const std::int32_t slot = claim_slot(job);
   JobRec& rec = job_pool_[static_cast<std::size_t>(slot)];
@@ -156,8 +260,7 @@ void ClusterState::allocate(JobId job, bool comm_intensive,
   rec.io_intensive = io_intensive;
   rec.load = comm_load;
   rec.nodes.assign(nodes.begin(), nodes.end());
-  for (const NodeId n : nodes)
-    transition(n, job, comm_intensive, io_intensive, comm_load, +1);
+  transition(rec, +1);
   ++live_jobs_;
 }
 
@@ -168,9 +271,7 @@ void ClusterState::release_into(JobId job, std::vector<NodeId>& out) {
   JobRec& rec = job_pool_[static_cast<std::size_t>(slot)];
   // contract-trusted: no-alloc: caller scratch reuses reserved capacity
   out.assign(rec.nodes.begin(), rec.nodes.end());
-  for (const NodeId n : out)
-    transition(n, kInvalidJob, rec.comm_intensive, rec.io_intensive, rec.load,
-               -1);
+  transition(rec, -1);
   drop_slot(job, slot);
   --live_jobs_;
 }

@@ -27,8 +27,14 @@
 // 1), so steady-state allocate/release perform no hashing and recycle node
 // vectors instead of reallocating them.
 //
-// All structures are updated incrementally in O(depth + leaf size) per node
-// transition; validate() recomputes everything from scratch for tests.
+// allocate() and release_into() update every structure in one batched
+// transition: the job's nodes are grouped by leaf, each touched leaf's free
+// prefix is compacted (allocate) or merged (release) in one O(F + k) pass
+// (F = the leaf's free count, k = the job's nodes on it), and its counters
+// and ancestor aggregates move once by the leaf's total. A start therefore
+// costs O(job + sum of F over touched leaves + touched leaves x depth); a
+// leaf whose nodes the caller lists out of ascending order adds a sort of
+// its k nodes. validate() recomputes everything from scratch for tests.
 #pragma once
 
 #include <cstdint>
@@ -148,8 +154,21 @@ class ClusterState {
   // (huge or negative ids from ad-hoc callers) falls back to the hash map.
   static constexpr JobId kDenseJobIds = JobId{1} << 26;
 
-  void transition(NodeId n, JobId new_owner, bool comm, bool io,
-                  LoadUnits load, int delta);
+  // One touched leaf of a transition: first[0, count) are the job's nodes
+  // on `leaf`, ascending (in the caller's list or in grouped_).
+  struct LeafGroup {
+    SwitchId leaf;
+    std::int32_t count;
+    const NodeId* first;
+  };
+
+  /// Fills groups_ (first-touch leaf order) from `nodes`. The groups point
+  /// into `nodes` when each leaf's nodes form one ascending run there, and
+  /// into grouped_ otherwise.
+  void group_by_leaf(std::span<const NodeId> nodes);
+  /// Moves every node of `rec` to busy (delta +1, owner rec.id) or free
+  /// (delta -1), one pass per touched leaf.
+  void transition(const JobRec& rec, int delta);
   std::int32_t find_slot(JobId job) const;  ///< -1 when absent
   std::int32_t claim_slot(JobId job);
   void drop_slot(JobId job, std::int32_t slot);
@@ -185,6 +204,16 @@ class ClusterState {
   // per-call hash set.
   std::vector<std::uint32_t> stamp_;
   std::uint32_t epoch_ = 0;
+
+  // transition() scratch, sized at construction: groups_ has room for one
+  // group per leaf, grouped_ for every node, and leaf_group_ maps a leaf
+  // switch to its index in groups_ (-1 between calls).
+  std::vector<LeafGroup> groups_;
+  std::vector<NodeId> grouped_;
+  std::vector<std::int32_t> leaf_group_;
+  // Per node, tree_->leaf_of(n), so the grouping pass reads one array
+  // instead of calling into Tree for every node.
+  std::vector<SwitchId> node_leaf_;
 };
 
 }  // namespace commsched

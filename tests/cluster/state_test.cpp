@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "topology/builders.hpp"
@@ -359,37 +361,86 @@ TEST_F(ClusterStateCorruptionTest, ViolationMessageCarriesValues) {
   }
 }
 
-// Property sweep: random allocate/release sequences keep every incremental
-// counter consistent with a from-scratch recomputation.
-class ClusterStateRandomOps : public ::testing::TestWithParam<std::uint64_t> {};
+// Each leaf's free index must list exactly the leaf's free nodes, ascending.
+void expect_free_index_matches_scan(const Tree& tree,
+                                    const ClusterState& state) {
+  for (const SwitchId leaf : tree.leaves()) {
+    std::vector<NodeId> scan;
+    for (const NodeId n : tree.nodes_of_leaf(leaf))
+      if (state.is_free(n)) scan.push_back(n);
+    std::sort(scan.begin(), scan.end());
+    const std::span<const NodeId> index = state.free_leaf_span(leaf);
+    ASSERT_EQ(std::vector<NodeId>(index.begin(), index.end()), scan)
+        << "leaf " << leaf;
+  }
+}
 
-TEST_P(ClusterStateRandomOps, ValidateAfterEveryStep) {
-  const Tree tree = make_three_level_tree(2, 4, 8);  // 64 nodes
+// Lists `nodes` round-robin over their leaves: each leaf's nodes stay
+// ascending, but a job on several leaves lists no leaf as one run.
+void interleave_by_leaf(const Tree& tree, std::vector<NodeId>& nodes) {
+  std::sort(nodes.begin(), nodes.end());
+  std::vector<int> seen(static_cast<std::size_t>(tree.switch_count()), 0);
+  std::vector<std::pair<int, NodeId>> ranked;
+  for (const NodeId n : nodes)
+    ranked.emplace_back(seen[static_cast<std::size_t>(tree.leaf_of(n))]++, n);
+  std::stable_sort(
+      ranked.begin(), ranked.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (std::size_t i = 0; i < nodes.size(); ++i) nodes[i] = ranked[i].second;
+}
+
+void run_random_ops(const Tree& tree, std::uint64_t seed, int max_job) {
   ClusterState state(tree);
-  Rng rng(GetParam());
+  Rng rng(seed);
   std::vector<JobId> live;
+  std::vector<NodeId> free_nodes;
   JobId next = 1;
   for (int step = 0; step < 300; ++step) {
     const bool do_alloc = live.empty() || (state.total_free() > 0 &&
                                            rng.bernoulli(0.6));
     if (do_alloc) {
-      const int want = static_cast<int>(
-          rng.uniform_int(1, std::min(state.total_free(), 12)));
-      std::vector<NodeId> nodes;
-      for (NodeId n = 0; n < tree.node_count() &&
-                         static_cast<int>(nodes.size()) < want; ++n)
-        if (state.is_free(n) && rng.bernoulli(0.5)) nodes.push_back(n);
-      if (nodes.empty()) continue;
-      state.allocate(next, rng.bernoulli(0.5), nodes);
+      free_nodes.clear();
+      for (NodeId n = 0; n < tree.node_count(); ++n)
+        if (state.is_free(n)) free_nodes.push_back(n);
+      rng.shuffle(free_nodes);
+      const auto want = static_cast<std::ptrdiff_t>(rng.uniform_int(
+          1, std::min(static_cast<std::int64_t>(free_nodes.size()),
+                      std::int64_t{max_job})));
+      std::vector<NodeId> nodes(free_nodes.begin(), free_nodes.begin() + want);
+      // Ascending (one run per leaf, as allocators emit), shuffled, or
+      // round-robin over leaves.
+      const std::int64_t order = rng.uniform_int(0, 2);
+      if (order == 0) std::sort(nodes.begin(), nodes.end());
+      if (order == 2) interleave_by_leaf(tree, nodes);
+      const LoadUnits load = rng.uniform_int(1, 2 * kLoadUnitScale);
+      state.allocate(next, rng.bernoulli(0.5), nodes, rng.bernoulli(0.3),
+                     load);
       live.push_back(next++);
     } else {
       const auto pick = static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
-      state.release(live[pick]);
+      const std::vector<NodeId> held(state.job_nodes(live[pick]).begin(),
+                                     state.job_nodes(live[pick]).end());
+      EXPECT_EQ(state.release(live[pick]), held);
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
     }
     state.validate();
+    expect_free_index_matches_scan(tree, state);
+    if (::testing::Test::HasFatalFailure()) return;
   }
+}
+
+// Property sweep: random allocate/release sequences keep every incremental
+// counter and each leaf's free index consistent with a from-scratch
+// recomputation, on narrow 8-node leaves and on wide 366-node leaves (as on
+// Theta). Jobs span several leaves, carry comm/io flags and a nonzero load,
+// and list their nodes ascending, shuffled or interleaved by leaf, so the
+// batched transition's run, scatter and sort paths all run.
+class ClusterStateRandomOps : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ClusterStateRandomOps, ValidateAfterEveryStep) {
+  run_random_ops(make_three_level_tree(2, 4, 8), GetParam(), /*max_job=*/12);
+  run_random_ops(make_two_level_tree(3, 366), GetParam(), /*max_job=*/400);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ClusterStateRandomOps,
