@@ -22,7 +22,6 @@
 //
 // Exits nonzero on any engine divergence or floor violation. Writes
 // BENCH_sched_scale.json at the cwd (run from the repo root).
-#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -33,6 +32,7 @@
 #include <vector>
 
 #include "core/allocator_factory.hpp"
+#include "host_info.hpp"
 #include "sched/simulator.hpp"
 #include "topology/builders.hpp"
 #include "workload/synthetic.hpp"
@@ -71,33 +71,6 @@ struct Cell {
   double speedup = 0.0;      ///< 0 when the reference engine was not timed
   int identical = -1;        ///< 1/0 checked, -1 not checked at this size
 };
-
-// The first "model name" of /proc/cpuinfo, or "unknown".
-std::string cpu_model() {
-  std::ifstream in("/proc/cpuinfo");
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind("model name", 0) != 0) continue;
-    const std::size_t start =
-        line.find_first_not_of(" \t", line.find(':') + 1);
-    if (start != std::string::npos) return line.substr(start);
-  }
-  return "unknown";
-}
-
-// `git describe --always --dirty` of the working directory, or "unknown"
-// outside a git checkout.
-std::string source_commit() {
-  FILE* pipe = popen("git describe --always --dirty 2>/dev/null", "r");
-  if (pipe == nullptr) return "unknown";
-  char line[128] = {};
-  const bool got = std::fgets(line, sizeof line, pipe) != nullptr;
-  pclose(pipe);
-  std::string id = got ? line : "";
-  while (!id.empty() && std::isspace(static_cast<unsigned char>(id.back())))
-    id.pop_back();
-  return id.empty() ? "unknown" : id;
-}
 
 long long env_int(const char* name, long long fallback) {
   const char* v = std::getenv(name);

@@ -1,7 +1,7 @@
 // Allocator-service bench: end-to-end daemon latency and throughput under
 // the deterministic load generator (DESIGN.md "Allocator service").
 //
-// Starts an in-process strand server on a unix socket and replays four
+// Starts an in-process event-loop server on a unix socket and replays four
 // scenarios against it, each a deterministic stream from serve/loadgen:
 //
 //   throughput   default limits, pipeline window < queue depth, so zero
@@ -21,17 +21,20 @@
 //                            p99 exceeds this many milliseconds
 //
 // Exits nonzero on any replay failure, unexpected rejection, or count
-// mismatch. Writes BENCH_serve.json at the cwd (run from the repo root).
+// mismatch. Writes BENCH_serve.json at the cwd (run from the repo root),
+// recording the host CPU model, its core count and the checkout's commit.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <unistd.h>
 #include <vector>
 
 #include "core/allocator_factory.hpp"
+#include "host_info.hpp"
 #include "serve/loadgen.hpp"
 #include "serve/server.hpp"
 #include "topology/builders.hpp"
@@ -185,8 +188,11 @@ int run() {
   json << "{\n"
        << "  \"bench\": \"serve\",\n"
        << "  \"machine\": \"two-level tree, 32 leaves x 16 nodes\",\n"
+       << "  \"host\": \"" << cpu_model() << "\",\n"
+       << "  \"nproc\": " << std::thread::hardware_concurrency() << ",\n"
+       << "  \"commit\": \"" << source_commit() << "\",\n"
        << "  \"metric\": \"request latency (us) and throughput through the "
-          "allocd strand server over a unix socket\",\n"
+          "allocd event-loop server over a unix socket\",\n"
        << "  \"scenarios\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const ScenarioResult& r = results[i];

@@ -1,6 +1,6 @@
 // serve_quickstart — the allocator service end to end in one process.
 //
-// Starts the strand server on a unix socket, connects the blocking
+// Starts the event-loop server on a unix socket, connects the blocking
 // client, allocates three jobs (default policy, then an explicit sa
 // request), queries the counters, releases everything, and drains.
 // Demonstrates the select-plugin-shaped API: opaque job descriptor in,

@@ -3,10 +3,11 @@
 // One Client wraps one connected stream socket. send_request() frames and
 // writes a message; recv_reply() blocks (with an optional timeout) until
 // the next complete reply frame arrives; call() does both. Replies come
-// back in whatever order the server finishes them — admission rejections
-// are written by the reader thread and can overtake strand replies — so
-// pipelining callers (the load generator) match replies to requests by
-// req_id, never by position.
+// back in whatever order the server finishes them — an admission
+// rejection is answered as soon as its frame is decoded and can overtake
+// replies to requests admitted before it — so pipelining callers (the
+// load generator) match replies to requests by req_id, never by
+// position.
 //
 // Every method reports failure by returning false and setting error();
 // nothing throws. A connection error leaves the client dead (connected()

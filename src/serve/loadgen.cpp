@@ -134,7 +134,7 @@ ReplayResult replay(Client& client, const LoadStream& stream,
   if (options.collect_log)
     result.log.assign(stream.requests.size(), std::string());
   // req_id -> (stream index, send timestamp). Replies can arrive out of
-  // order (admission rejections overtake strand replies).
+  // order (admission rejections overtake served replies).
   std::unordered_map<std::uint64_t, std::pair<std::size_t, std::int64_t>>
       outstanding;
   outstanding.reserve(options.window * 2);

@@ -10,12 +10,12 @@
 // steady occupancy instead of filling up monotonically.
 //
 // replay() drives a connected Client with a bounded pipeline window,
-// matching replies to requests by req_id (rejections overtake strand
+// matching replies to requests by req_id (rejections overtake served
 // replies), recording wall-clock latency per request into a
 // LatencyHistogram, and optionally collecting a canonical reply log.
 // The log is indexed by stream position and strips every wall-time field,
-// so it is byte-comparable across runs, worker counts, and daemon
-// restarts — the load generator doubles as the differential test driver.
+// so it is byte-comparable across runs, transports, and daemon restarts —
+// the load generator doubles as the differential test harness.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,5 @@
 #include "serve/server.hpp"
 
-#include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -9,6 +8,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <exception>
 #include <limits>
 #include <span>
 #include <utility>
@@ -16,6 +16,11 @@
 namespace commsched::serve {
 
 namespace {
+
+constexpr std::int64_t kNsPerMs = 1000000;
+/// poll() timeout: bounds how late timeouts, a lifted test hold and
+/// drain() are noticed on an otherwise quiet loop.
+constexpr int kTickMs = 100;
 
 std::int64_t now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -32,18 +37,11 @@ Reply quick_reply(MsgType request_type, std::uint64_t req_id,
   return r;
 }
 
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
-
 }  // namespace
 
 Server::Server(const Tree& tree, ServiceOptions service_options,
                ServerOptions options)
-    : service_(tree, service_options),
-      options_(std::move(options)),
-      pool_(options_.threads) {}
+    : service_(tree, service_options), options_(std::move(options)) {}
 
 Server::~Server() { drain(); }
 
@@ -53,7 +51,7 @@ bool Server::start() {
     error_ = "invalid socket path: " + options_.socket_path;
     return false;
   }
-  listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0);
   if (listen_fd_ < 0) {
     error_ = "socket() failed: " + std::string(std::strerror(errno));
     return false;
@@ -71,46 +69,37 @@ bool Server::start() {
     listen_fd_ = -1;
     return false;
   }
-  if (::listen(listen_fd_, options_.listen_backlog) < 0) {
+  if (::listen(listen_fd_, SOMAXCONN) < 0) {
     error_ = "listen() failed: " + std::string(std::strerror(errno));
     ::close(listen_fd_);
     listen_fd_ = -1;
     ::unlink(options_.socket_path.c_str());
     return false;
   }
-  set_nonblocking(listen_fd_);
-  running_.store(true);
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  loop_ = std::thread([this] {
+    try {
+      run_loop();
+    } catch (const std::exception& e) {
+      // Reported by drain(); wake the waiter so the daemon exits instead
+      // of holding a socket nobody serves.
+      loop_error_ = e.what();
+      request_drain();
+    }
+  });
   return true;
 }
 
 void Server::drain() {
   stopping_.store(true);
-  if (accept_thread_.joinable()) accept_thread_.join();
+  if (loop_.joinable()) loop_.join();
+  for (const Connection& conn : conns_) ::close(conn.fd);  // loop failed
+  conns_.clear();
+  if (!loop_error_.empty()) error_ = "event loop failed: " + loop_error_;
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
     ::unlink(options_.socket_path.c_str());
   }
-  std::vector<std::shared_ptr<Connection>> conns;
-  {
-    std::lock_guard<std::mutex> lock(conns_mutex_);
-    conns.swap(conns_);
-  }
-  // Stop readers (no new admissions), serve what was already admitted,
-  // then release the sockets.
-  for (const auto& conn : conns)
-    if (conn->fd >= 0) ::shutdown(conn->fd, SHUT_RD);
-  for (const auto& conn : conns)
-    if (conn->reader.joinable()) conn->reader.join();
-  pool_.wait_idle();
-  for (const auto& conn : conns) {
-    if (conn->fd >= 0) {
-      ::close(conn->fd);
-      conn->fd = -1;
-    }
-  }
-  running_.store(false);
   request_drain();
 }
 
@@ -138,239 +127,188 @@ ServerStats Server::stats() const {
   return s;
 }
 
-void Server::accept_loop() {
-  while (!stopping_.load()) {
-    pollfd p{};
-    p.fd = listen_fd_;
-    p.events = POLLIN;
-    const int ready = ::poll(&p, 1, 100);
-    reap_finished_readers();
-    if (ready <= 0) continue;
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) continue;
-    set_nonblocking(fd);
+void Server::run_loop() {
+  std::vector<pollfd> fds;
+  Reply reply;
+  for (;;) {
+    // Once draining, nothing new is accepted or read; the loop serves what
+    // was admitted, flushes it and exits when every connection is closed.
+    const bool draining = stopping_.load();
+    if (draining || !options_.test_hold || !options_.test_hold())
+      for (Connection& conn : conns_) serve(conn, reply);
+    const std::int64_t now = now_ns();
+    for (Connection& conn : conns_) {
+      flush(conn, now);
+      settle(conn, now, draining);
+    }
+    std::erase_if(conns_, [](const Connection& c) { return c.fd < 0; });
+    if (draining && conns_.empty()) return;
+
+    // Read a connection only while its replies are flushed: a client that
+    // stops reading stops being read, and its queued replies stay bounded.
+    fds.clear();
+    fds.push_back({draining ? -1 : listen_fd_, POLLIN, 0});
+    for (const Connection& conn : conns_) {
+      short events = 0;
+      if (!conn.out.empty()) events = POLLOUT;
+      else if (!draining && !conn.closing) events = POLLIN;
+      fds.push_back({events != 0 ? conn.fd : -1, events, 0});
+    }
+    if (::poll(fds.data(), fds.size(), kTickMs) <= 0) continue;
+    for (std::size_t i = 1; i < fds.size(); ++i)
+      if ((fds[i].events & POLLIN) != 0 && fds[i].revents != 0)
+        read_frames(conns_[i - 1]);
+    // Appended after the polled connections, so the indices above hold.
+    if ((fds[0].revents & POLLIN) != 0) accept_connections(now_ns());
+  }
+}
+
+void Server::accept_connections(std::int64_t now) {
+  for (;;) {
+    const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK);
+    if (fd < 0) return;  // backlog empty
     if (options_.send_buffer_bytes > 0) {
       ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &options_.send_buffer_bytes,
                    sizeof(options_.send_buffer_bytes));
     }
-    auto conn = std::make_shared<Connection>();
-    conn->fd = fd;
-    {
-      std::lock_guard<std::mutex> lock(conns_mutex_);
-      conns_.push_back(conn);
-    }
+    Connection& conn = conns_.emplace_back();
+    conn.fd = fd;
+    conn.last_io_ns = now;
     connections_accepted_.fetch_add(1);
-    conn->reader = std::thread([this, conn] { reader_loop(conn); });
   }
 }
 
-void Server::reap_finished_readers() {
-  std::lock_guard<std::mutex> lock(conns_mutex_);
-  for (std::size_t i = 0; i < conns_.size();) {
-    const std::shared_ptr<Connection>& conn = conns_[i];
-    bool settled = conn->reader_done.load();
-    if (settled) {
-      std::lock_guard<std::mutex> conn_lock(conn->mutex);
-      settled = !conn->strand_active && conn->pending.empty();
-    }
-    if (!settled) {
-      ++i;
-      continue;
-    }
-    if (conn->reader.joinable()) conn->reader.join();
-    if (conn->fd >= 0) {
-      ::close(conn->fd);
-      conn->fd = -1;
-    }
-    conns_.erase(conns_.begin() + static_cast<std::ptrdiff_t>(i));
+void Server::read_frames(Connection& conn) {
+  std::uint8_t chunk[16384];
+  const ssize_t n = ::recv(conn.fd, chunk, sizeof chunk, 0);
+  if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR))
+    return;
+  if (n <= 0) {  // peer closed (or the stream broke)
+    conn.closing = true;
+    return;
   }
-}
-
-void Server::reader_loop(const std::shared_ptr<Connection>& conn) {
-  std::vector<std::uint8_t> buf;
+  conn.last_io_ns = now_ns();
+  conn.in.insert(conn.in.end(), chunk, chunk + n);
   std::size_t offset = 0;
-  std::uint32_t idle_ms = 0;
-  constexpr int kTickMs = 100;
   Request req;
-  while (!stopping_.load() && !conn->dead.load()) {
-    pollfd p{};
-    p.fd = conn->fd;
-    p.events = POLLIN;
-    const int ready = ::poll(&p, 1, kTickMs);
-    if (ready == 0) {
-      idle_ms += static_cast<std::uint32_t>(kTickMs);
-      if (options_.idle_timeout_ms > 0 && idle_ms >= options_.idle_timeout_ms) {
-        conn->dead.store(true);
-        ::shutdown(conn->fd, SHUT_RDWR);
-        connections_dropped_.fetch_add(1);
-        break;
-      }
-      continue;
-    }
-    if (ready < 0) {
-      if (errno == EINTR) continue;
+  while (!conn.closing) {
+    std::span<const std::uint8_t> payload;
+    const DecodeResult framed = peel_frame(conn.in, offset, payload);
+    if (framed == DecodeResult::kNeedMore) break;
+    if (framed == DecodeResult::kOversized) {
+      decode_errors_.fetch_add(1);
+      encode_reply(quick_reply(MsgType::kHello, /*req_id=*/0,
+                               ServeStatus::kBadRequest),
+                   conn.out);
+      conn.closing = conn.corrupt = true;
       break;
     }
-    std::uint8_t chunk[4096];
-    const ssize_t n = ::recv(conn->fd, chunk, sizeof chunk, 0);
-    if (n == 0) break;  // peer closed (or drain shut the read side)
-    if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) continue;
-      break;
-    }
-    idle_ms = 0;
-    buf.insert(buf.end(), chunk, chunk + n);
-    bool fatal = false;
-    for (;;) {
-      std::span<const std::uint8_t> payload;
-      const DecodeResult framed = peel_frame(buf, offset, payload);
-      if (framed == DecodeResult::kNeedMore) break;
-      if (framed == DecodeResult::kOversized) {
-        decode_errors_.fetch_add(1);
-        write_reply(*conn, quick_reply(MsgType::kHello, /*req_id=*/0,
-                                       ServeStatus::kBadRequest));
-        fatal = true;
-        break;
-      }
-      frames_in_.fetch_add(1);
-      const DecodeResult decoded = decode_request(payload, req);
-      if (decoded != DecodeResult::kOk) {
-        decode_errors_.fetch_add(1);
-        Reply err = quick_reply(MsgType::kHello, req.req_id,
-                                ServeStatus::kBadRequest);
-        err.type = MsgType::kErrorReply;
-        write_reply(*conn, err);
-        // A value error sits inside a well-formed frame — the stream is
-        // still in sync. Anything else means corruption: close.
-        if (decoded != DecodeResult::kBadValue) {
-          fatal = true;
-          break;
-        }
-        continue;
-      }
+    const DecodeResult decoded = decode_request(payload, req);
+    if (decoded == DecodeResult::kOk) {
       admit(conn, req);
+    } else {
+      decode_errors_.fetch_add(1);
+      Reply err = quick_reply(MsgType::kHello, req.req_id,
+                              ServeStatus::kBadRequest);
+      err.type = MsgType::kErrorReply;
+      encode_reply(err, conn.out);
+      // A value error sits inside a well-formed frame — the stream is
+      // still in sync. Anything else means corruption: close.
+      if (decoded != DecodeResult::kBadValue)
+        conn.closing = conn.corrupt = true;
     }
-    if (offset > 0) {
-      buf.erase(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(offset));
-      offset = 0;
-    }
-    if (fatal) {
-      conn->dead.store(true);
-      ::shutdown(conn->fd, SHUT_RDWR);
-      connections_dropped_.fetch_add(1);
-      break;
-    }
+    // Counted after admission, so a stats() reader sees the outcome.
+    frames_in_.fetch_add(1);
   }
-  conn->reader_done.store(true);
+  conn.in.erase(conn.in.begin(),
+                conn.in.begin() + static_cast<std::ptrdiff_t>(offset));
 }
 
-void Server::admit(const std::shared_ptr<Connection>& conn,
-                   const Request& request) {
-  PendingRequest pending;
-  pending.request = request;
+void Server::admit(Connection& conn, const Request& request) {
+  if (pending_total_ >= options_.queue_depth) {
+    rejected_.fetch_add(1);
+    encode_reply(quick_reply(request.type, request.req_id,
+                             ServeStatus::kRejected),
+                 conn.out);
+    return;
+  }
   const std::uint32_t deadline_ms = request.deadline_ms != 0
                                         ? request.deadline_ms
                                         : options_.default_deadline_ms;
-  pending.deadline_ns =
-      deadline_ms != 0
-          ? now_ns() + static_cast<std::int64_t>(deadline_ms) * 1000000
-          : std::numeric_limits<std::int64_t>::max();
-  const std::size_t admitted = pending_total_.fetch_add(1);
-  if (admitted >= options_.queue_depth) {
-    pending_total_.fetch_sub(1);
-    rejected_.fetch_add(1);
-    write_reply(*conn, quick_reply(request.type, request.req_id,
-                                   ServeStatus::kRejected));
-    return;
-  }
-  bool spawn = false;
-  {
-    std::lock_guard<std::mutex> lock(conn->mutex);
-    conn->pending.push_back(std::move(pending));
-    if (!conn->strand_active) {
-      conn->strand_active = true;
-      spawn = true;
-    }
-  }
-  if (spawn)
-    pool_.submit([this, conn] { run_strand(conn); });
+  conn.pending.push_back(
+      {request, deadline_ms != 0
+                    ? now_ns() + deadline_ms * kNsPerMs
+                    : std::numeric_limits<std::int64_t>::max()});
+  ++pending_total_;
 }
 
-void Server::run_strand(std::shared_ptr<Connection> conn) {
-  std::vector<PendingRequest> batch;
-  Reply reply;
-  for (;;) {
-    batch.clear();
-    {
-      std::lock_guard<std::mutex> lock(conn->mutex);
-      while (conn->pending_head < conn->pending.size() &&
-             batch.size() < options_.batch)
-        batch.push_back(std::move(conn->pending[conn->pending_head++]));
-      if (conn->pending_head == conn->pending.size()) {
-        conn->pending.clear();
-        conn->pending_head = 0;
-      }
-      if (batch.empty()) {
-        conn->strand_active = false;
-        return;
+void Server::serve(Connection& conn, Reply& reply) {
+  for (const PendingRequest& item : conn.pending) {
+    if (now_ns() > item.deadline_ns) {
+      // Expired before service — answered without touching any state,
+      // so a client retry with the same request id is safe.
+      timeouts_.fetch_add(1);
+      reply = quick_reply(item.request.type, item.request.req_id,
+                          ServeStatus::kTimeout);
+    } else {
+      service_.handle(item.request, reply);
+      if (reply.type == MsgType::kQueryReply) {
+        reply.rejected = rejected_.load();
+        reply.timeouts = timeouts_.load();
       }
     }
-    if (options_.test_delay) options_.test_delay();
-    bool drain_after = false;
-    for (PendingRequest& item : batch) {
-      if (now_ns() > item.deadline_ns) {
-        // Expired before service — answered without touching any state,
-        // so a client retry with the same request id is safe.
-        timeouts_.fetch_add(1);
-        reply = quick_reply(item.request.type, item.request.req_id,
-                            ServeStatus::kTimeout);
-      } else {
-        std::lock_guard<std::mutex> service_lock(service_mutex_);
-        service_.handle(item.request, reply);
-        if (reply.type == MsgType::kQueryReply) {
-          reply.rejected = rejected_.load();
-          reply.timeouts = timeouts_.load();
-        }
-      }
-      write_reply(*conn, reply);
-      if (item.request.type == MsgType::kDrain) drain_after = true;
-      pending_total_.fetch_sub(1);
-    }
-    if (drain_after) request_drain();
+    encode_reply(reply, conn.out);
+    if (item.request.type == MsgType::kDrain) request_drain();
   }
+  pending_total_ -= conn.pending.size();
+  conn.pending.clear();
 }
 
-bool Server::write_reply(Connection& conn, const Reply& reply) {
-  std::lock_guard<std::mutex> lock(conn.write_mutex);
-  if (conn.fd < 0 || conn.dead.load()) return false;
-  conn.write_buf.clear();
-  encode_reply(reply, conn.write_buf);
-  std::size_t off = 0;
-  while (off < conn.write_buf.size()) {
-    const ssize_t n =
-        ::send(conn.fd, conn.write_buf.data() + off,
-               conn.write_buf.size() - off, MSG_NOSIGNAL);
+void Server::flush(Connection& conn, std::int64_t now) {
+  std::size_t sent = 0;
+  while (sent < conn.out.size()) {
+    const ssize_t n = ::send(conn.fd, conn.out.data() + sent,
+                             conn.out.size() - sent, MSG_NOSIGNAL);
     if (n > 0) {
-      off += static_cast<std::size_t>(n);
+      sent += static_cast<std::size_t>(n);
+      conn.last_io_ns = now;
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      pollfd p{};
-      p.fd = conn.fd;
-      p.events = POLLOUT;
-      const int ready =
-          ::poll(&p, 1, static_cast<int>(options_.write_timeout_ms));
-      if (ready > 0) continue;  // writable (or error — send will tell)
-    }
-    // Stalled past write_timeout_ms or hard error: a slow client must not
-    // wedge a strand worker. Drop the connection.
-    conn.dead.store(true);
-    ::shutdown(conn.fd, SHUT_RDWR);
-    connections_dropped_.fetch_add(1);
-    return false;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
+      break;  // settle() times the stall
+    close_connection(conn, /*dropped=*/true);
+    return;
   }
-  return true;
+  conn.out.erase(conn.out.begin(),
+                 conn.out.begin() + static_cast<std::ptrdiff_t>(sent));
+}
+
+void Server::settle(Connection& conn, std::int64_t now, bool draining) {
+  if (conn.fd < 0) return;
+  const std::int64_t quiet_ns = now - conn.last_io_ns;
+  if (!conn.out.empty()) {
+    // Replies queued, but the client is not reading them.
+    if (quiet_ns >= options_.write_timeout_ms * kNsPerMs)
+      close_connection(conn, /*dropped=*/true);
+    return;
+  }
+  if (!conn.pending.empty()) return;  // held by test_hold
+  if (conn.closing || draining) {
+    close_connection(conn, conn.corrupt);
+  } else if (options_.idle_timeout_ms > 0 &&
+             quiet_ns >= options_.idle_timeout_ms * kNsPerMs) {
+    close_connection(conn, /*dropped=*/true);
+  }
+}
+
+void Server::close_connection(Connection& conn, bool dropped) {
+  // Counted before the close, so the peer never sees one uncounted.
+  if (dropped) connections_dropped_.fetch_add(1);
+  ::close(conn.fd);
+  conn.fd = -1;
+  pending_total_ -= conn.pending.size();
+  conn.pending.clear();
 }
 
 }  // namespace commsched::serve

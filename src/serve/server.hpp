@@ -1,78 +1,76 @@
 // Socket front-end of the allocator daemon (DESIGN.md "Allocator service").
 //
-// Concurrency model — strand per connection on the shared ThreadPool:
-// a reader thread per connection decodes frames and appends them to that
-// connection's FIFO queue; at most one pool task (the "strand") drains a
-// given queue at a time, so requests from one client are processed in
-// arrival order at ANY worker count. That per-stream FIFO, plus the
-// deterministic AllocatorService underneath, is the determinism contract:
-// one client's reply stream is bit-identical whether the pool runs 1 or 8
-// workers (tests/serve/server_diff_test.cpp). Different connections
-// interleave nondeterministically — determinism is per stream, exactly
-// like one slurmctld RPC socket.
+// Concurrency model — one event-loop thread owns the listening socket,
+// every connection and the AllocatorService, the way one slurmctld
+// thread owns the select plugin under its lock. Each pass poll(2)s the
+// listener and the connections, recv()s every readable connection into
+// its buffer, decodes every complete frame (admitting or rejecting it at
+// once), serves admitted requests in per-connection arrival order, and
+// flushes each connection's coalesced replies with non-blocking send().
+// That per-stream FIFO, plus the deterministic AllocatorService
+// underneath, is the determinism contract: one client's reply stream is
+// bit-identical to the inline service (tests/serve/server_diff_test.cpp).
+// Different connections interleave by arrival — determinism is per
+// stream, exactly like one slurmctld RPC socket.
 //
 // Admission control: a global bound on queued-but-unserved requests
-// (ServerOptions::queue_depth). The reader answers overflow with an
-// immediate kRejected reply instead of queueing — bounded memory, and the
-// client learns about overload instead of watching latency grow.
+// (ServerOptions::queue_depth). Overflow is answered with an immediate
+// kRejected reply instead of queueing — bounded memory, and the client
+// learns about overload instead of watching latency grow.
 //
-// Deadlines: each request carries (or inherits) a deadline; the strand
-// checks it at dequeue, before touching any allocator state, and answers
-// kTimeout for expired requests. A request that got a kTimeout never
-// mutated the cluster, so the client can safely retry with the same
+// Deadlines: each request carries (or inherits) a deadline; the loop
+// checks it just before service, before touching any allocator state, and
+// answers kTimeout for expired requests. A request that got a kTimeout
+// never mutated the cluster, so the client can safely retry with the same
 // request id.
 //
-// Slow clients cannot wedge a worker: replies are written with a bounded
-// poll(POLLOUT) (write_timeout_ms); a stalled reader gets its connection
-// shut down, and a stalled writer trips idle_timeout_ms in the reader.
+// Slow clients cannot wedge the loop: a connection is read only while its
+// reply buffer is empty, so a client that stops reading stops being read,
+// and is dropped after write_timeout_ms without write progress; a client
+// silent mid-frame is dropped after idle_timeout_ms.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "serve/service.hpp"
-#include "util/thread_pool.hpp"
 
 namespace commsched::serve {
 
 struct ServerOptions {
   std::string socket_path;
-  /// Strand workers; 0 = ThreadPool::default_thread_count()
-  /// (COMMSCHED_THREADS or hardware concurrency).
-  int threads = 0;
   /// Max requests admitted (queued or in service) across all connections;
-  /// overflow is answered kRejected by the reader thread.
+  /// overflow is answered kRejected as soon as it is decoded.
   std::size_t queue_depth = 1024;
-  /// Max requests one strand pass takes from its queue before re-checking.
-  std::size_t batch = 16;
   /// Deadline for requests that carry deadline_ms == 0; 0 = no deadline.
   std::uint32_t default_deadline_ms = 0;
-  /// Reader poll timeout: a connection silent for this long is dropped.
+  /// A connection with nothing queued that does no I/O for this long is
+  /// dropped; 0 = never.
   std::uint32_t idle_timeout_ms = 30000;
-  /// Max time a reply write may block on a slow client before the
-  /// connection is shut down.
+  /// A connection whose queued replies make no write progress for this
+  /// long is dropped.
   std::uint32_t write_timeout_ms = 5000;
-  int listen_backlog = 64;
   /// When > 0, SO_SNDBUF for accepted sockets (tests shrink it to force
   /// reply-write backpressure).
   int send_buffer_bytes = 0;
-  /// Test hook: run once per strand batch before processing (lets tests
-  /// hold requests in the queue deterministically). Must be thread-safe.
-  std::function<void()> test_delay;
+  /// Test hook, called on the loop thread once per pass: while it returns
+  /// true the loop keeps reading and admitting but serves nothing (lets
+  /// tests hold requests in the queue deterministically). Ignored once
+  /// drain() starts, so a hold cannot hang the drain.
+  std::function<bool()> test_hold;
 };
 
 /// Monotonic counters, snapshot via Server::stats().
 struct ServerStats {
   std::uint64_t connections_accepted = 0;
   std::uint64_t connections_dropped = 0;  ///< idle/stalled/corrupt streams
-  std::uint64_t frames_in = 0;
+  std::uint64_t frames_in = 0;  ///< counted once admitted or answered
   std::uint64_t rejected = 0;       ///< admission-control rejections
   std::uint64_t timeouts = 0;       ///< deadline expiries
   std::uint64_t decode_errors = 0;  ///< malformed frames answered/dropped
@@ -87,10 +85,10 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Bind + listen + start the accept thread. False on failure (error()).
+  /// Bind + listen + start the loop thread. False on failure (error()).
   bool start();
-  /// Stop accepting, shut down connections, serve already-admitted
-  /// requests, then release everything. Idempotent.
+  /// Stop accepting and reading, serve already-admitted requests, flush
+  /// their replies, then release everything. Idempotent.
   void drain();
 
   /// Block until a client sent kDrain (or `stop` was requested).
@@ -98,7 +96,7 @@ class Server {
   /// Make wait_drain_requested() return (signal handlers, tests).
   void request_drain();
 
-  bool running() const noexcept { return running_.load(); }
+  /// Why start() failed, or, after drain(), why the loop thread stopped.
   const std::string& error() const noexcept { return error_; }
   ServerStats stats() const;
   /// The underlying service. Only safe to inspect after drain().
@@ -111,48 +109,49 @@ class Server {
     std::int64_t deadline_ns = 0;
   };
 
+  /// One client stream; owned and touched by the loop thread only.
   struct Connection {
     int fd = -1;
-    std::thread reader;
-    std::mutex mutex;  // guards pending/strand_active
-    std::vector<PendingRequest> pending;
-    std::size_t pending_head = 0;
-    bool strand_active = false;
-    std::atomic<bool> dead{false};
-    std::atomic<bool> reader_done{false};
-    std::mutex write_mutex;  // serializes whole-frame writes
-    std::vector<std::uint8_t> write_buf;
+    std::vector<std::uint8_t> in;   ///< received bytes not yet framed
+    std::vector<std::uint8_t> out;  ///< encoded replies not yet sent
+    std::vector<PendingRequest> pending;  ///< admitted, in arrival order
+    std::int64_t last_io_ns = 0;    ///< last read or write progress
+    /// Peer closed or sent a corrupt frame: read no more, close once the
+    /// admitted requests are served and their replies flushed.
+    bool closing = false;
+    bool corrupt = false;  ///< closing counts as a drop
   };
 
-  void accept_loop();
-  void reader_loop(const std::shared_ptr<Connection>& conn);
-  /// Admission control: queue the request on its connection's strand or
-  /// answer kRejected immediately when queue_depth is exhausted.
-  void admit(const std::shared_ptr<Connection>& conn, const Request& request);
-  void run_strand(std::shared_ptr<Connection> conn);
-  /// Encode + write one reply with bounded blocking; drops the connection
-  /// on a stalled client. Returns false if the connection is dead.
-  bool write_reply(Connection& conn, const Reply& reply);
-  void close_connection(Connection& conn);
-  void reap_finished_readers();
+  /// The loop thread: runs passes until drain() and then until every
+  /// admitted request is served and flushed.
+  void run_loop();
+  void accept_connections(std::int64_t now);
+  /// recv() once, then decode and admit every complete frame.
+  void read_frames(Connection& conn);
+  /// Admission control: queue the request on its connection or answer
+  /// kRejected immediately when queue_depth is exhausted.
+  void admit(Connection& conn, const Request& request);
+  /// Serve the connection's admitted requests in order into its `out`.
+  void serve(Connection& conn, Reply& reply);
+  /// Non-blocking send of `out`; drops the connection on a hard error.
+  void flush(Connection& conn, std::int64_t now);
+  /// Close finished, idle or write-stalled connections.
+  void settle(Connection& conn, std::int64_t now, bool draining);
+  void close_connection(Connection& conn, bool dropped);
 
   AllocatorService service_;
   ServerOptions options_;
-  ThreadPool pool_;
-  std::mutex service_mutex_;  // serializes AllocatorService::handle
 
   int listen_fd_ = -1;
-  std::thread accept_thread_;
-  std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};
   std::string error_;
 
-  std::mutex conns_mutex_;
-  std::vector<std::shared_ptr<Connection>> conns_;
+  // Loop-thread state; drain() reads it only after joining the loop.
+  std::vector<Connection> conns_;
+  std::size_t pending_total_ = 0;
+  std::string loop_error_;  ///< what() of an exception that ended the loop
 
-  std::atomic<std::size_t> pending_total_{0};
-
-  std::mutex drain_mutex_;
+  std::mutex drain_mutex_;  // guards drain_requested_
   std::condition_variable drain_cv_;
   bool drain_requested_ = false;
 
@@ -162,6 +161,8 @@ class Server {
   std::atomic<std::uint64_t> rejected_{0};
   std::atomic<std::uint64_t> timeouts_{0};
   std::atomic<std::uint64_t> decode_errors_{0};
+
+  std::thread loop_;  // last: uses every member above
 };
 
 }  // namespace commsched::serve

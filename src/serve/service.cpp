@@ -10,7 +10,7 @@ namespace commsched::serve {
 namespace {
 
 /// Reset every reply field to its default for a fresh answer, keeping the
-/// node vector's capacity (the server reuses one Reply per strand pass).
+/// node vector's capacity (the server's loop reuses one Reply).
 void reset_reply(Reply& reply, MsgType type, std::uint64_t req_id) {
   reply.type = type;
   reply.req_id = req_id;

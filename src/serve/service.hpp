@@ -19,10 +19,11 @@
 // produced by the server *before* the service runs and are never cached —
 // a retried id gets the real answer.
 //
-// Concurrency: handle() is NOT internally synchronized. The server
-// serializes calls (the cluster state is one shared resource, exactly like
-// slurmctld's select plugin lock); everything reachable from handle() is
-// audited by the contracts gate's thread-safety family.
+// Concurrency: handle() is NOT internally synchronized. The server calls
+// it only from its one loop thread (the cluster state is one shared
+// resource, exactly like slurmctld's select plugin lock); everything
+// reachable from handle() is audited by the contracts gate's
+// thread-safety family.
 #pragma once
 
 #include <array>

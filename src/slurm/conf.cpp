@@ -70,8 +70,8 @@ void apply_select_param(SlurmConf& conf, const std::string& tok, int lineno) {
 }
 
 constexpr const char* kAllocdParams =
-    "socket=<path>, threads=<int>, queue=<int>, batch=<int>, "
-    "deadline_ms=<int>, idle_ms=<int>, write_ms=<int>";
+    "socket=<path>, queue=<int>, deadline_ms=<int>, idle_ms=<int>, "
+    "write_ms=<int>";
 
 /// One AllocdParameters token: allocator-daemon knobs (ServeConf).
 void apply_allocd_param(SlurmConf& conf, const std::string& tok, int lineno) {
@@ -86,18 +86,10 @@ void apply_allocd_param(SlurmConf& conf, const std::string& tok, int lineno) {
   if (pkey == "socket") {
     if (pval.empty()) bad_value(pkey, pval, lineno);
     serve.socket_path = pval;
-  } else if (pkey == "threads") {
-    const auto v = parse_int(pval);
-    if (!v || *v < 0) bad_value(pkey, pval, lineno);
-    serve.threads = static_cast<int>(*v);
   } else if (pkey == "queue") {
     const auto v = parse_int(pval);
     if (!v || *v < 1) bad_value(pkey, pval, lineno);
     serve.queue_depth = static_cast<int>(*v);
-  } else if (pkey == "batch") {
-    const auto v = parse_int(pval);
-    if (!v || *v < 1) bad_value(pkey, pval, lineno);
-    serve.batch = static_cast<int>(*v);
   } else if (pkey == "deadline_ms") {
     const auto v = parse_int(pval);
     if (!v || *v < 0) bad_value(pkey, pval, lineno);
@@ -265,11 +257,8 @@ std::string write_slurm_conf(const SlurmConf& conf) {
     };
     if (serve.socket_path != def.socket_path)
       add("socket=" + serve.socket_path);
-    if (serve.threads != def.threads)
-      add("threads=" + std::to_string(serve.threads));
     if (serve.queue_depth != def.queue_depth)
       add("queue=" + std::to_string(serve.queue_depth));
-    if (serve.batch != def.batch) add("batch=" + std::to_string(serve.batch));
     if (serve.default_deadline_ms != def.default_deadline_ms)
       add("deadline_ms=" + std::to_string(serve.default_deadline_ms));
     if (serve.idle_timeout_ms != def.idle_timeout_ms)

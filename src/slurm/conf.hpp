@@ -20,8 +20,8 @@
 //   EnforceWallTime    = yes | no
 //   AllocdParameters   = comma list configuring the allocator daemon
 //                        (tools/allocd, src/serve): socket=<path>,
-//                        threads=<int>, queue=<int>, batch=<int>,
-//                        deadline_ms=<int>, idle_ms=<int>, write_ms=<int>
+//                        queue=<int>, deadline_ms=<int>, idle_ms=<int>,
+//                        write_ms=<int>
 // Unknown keys are ignored (slurm.conf carries dozens we do not model).
 #pragma once
 
@@ -36,9 +36,7 @@ namespace commsched {
 /// mirror serve::ServerOptions so an empty key is the stock daemon.
 struct ServeConf {
   std::string socket_path;      ///< socket=<path>; empty = daemon default
-  int threads = 0;              ///< 0 = COMMSCHED_THREADS / hw concurrency
   int queue_depth = 1024;       ///< admission bound (queue=<int>)
-  int batch = 16;               ///< max requests per strand pass
   int default_deadline_ms = 0;  ///< deadline for requests that carry none
   int idle_timeout_ms = 30000;  ///< drop connections silent this long
   int write_timeout_ms = 5000;  ///< drop clients stalling reply writes

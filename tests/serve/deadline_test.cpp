@@ -1,22 +1,23 @@
-// Deadlines, admission control and slow-client backpressure: an expired
-// request gets kTimeout without touching allocator state; admission-queue
-// overflow is answered kRejected with exact accounting; a client that
-// stalls mid-frame or stops reading replies is dropped without wedging a
-// strand worker.
+// Deadlines, admission control, slow-client backpressure and malformed
+// frames: an expired request gets kTimeout without touching allocator
+// state; admission-queue overflow is answered kRejected with exact
+// accounting; a client that stalls mid-frame or stops reading replies is
+// dropped without wedging the loop; a bad frame is answered and, when the
+// stream cannot resynchronize, closed without touching other clients.
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstring>
 #include <functional>
-#include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -69,31 +70,44 @@ int raw_connect(const std::string& path, int rcvbuf_bytes = 0) {
   return fd;
 }
 
+// Everything the server sends on `fd` until it closes the stream; false if
+// it is still open after 5 s.
+bool read_until_closed(int fd, std::vector<std::uint8_t>& bytes) {
+  pollfd p{fd, POLLIN, 0};
+  std::uint8_t chunk[512];
+  while (::poll(&p, 1, 5000) > 0) {
+    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
+    if (n <= 0) return n == 0;
+    bytes.insert(bytes.end(), chunk, chunk + n);
+  }
+  return false;
+}
+
 TEST(Deadline, ExpiredRequestTimesOutWithoutStateMutation) {
   const Tree tree = make_two_level_tree(4, 8);
-  std::atomic<bool> slow{true};
+  std::atomic<bool> hold{true};
   ServerOptions server_options;
   server_options.socket_path = unique_socket("timeout");
-  server_options.threads = 1;
-  server_options.test_delay = [&slow] {
-    if (slow.load())
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  };
+  server_options.test_hold = [&hold] { return hold.load(); };
   Server server(tree, ServiceOptions{}, server_options);
   ASSERT_TRUE(server.start()) << server.error();
   Client client;
   ASSERT_TRUE(client.connect(server_options.socket_path)) << client.error();
 
   Request req = alloc_request(1, 1, 4);
-  req.deadline_ms = 1;  // expires inside the strand's 50 ms stall
+  req.deadline_ms = 1;  // expires while the loop holds it
+  ASSERT_TRUE(client.send_request(req)) << client.error();
+  ASSERT_TRUE(eventually([&] { return server.stats().frames_in == 1; }));
+  // Admitted (its deadline is set); let that 1 ms run out, then serve.
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  hold.store(false);
   Reply reply;
-  ASSERT_TRUE(client.call(req, reply, 5000)) << client.error();
+  ASSERT_TRUE(client.recv_reply(reply, 5000)) << client.error();
   EXPECT_EQ(reply.status, ServeStatus::kTimeout);
   EXPECT_EQ(server.stats().timeouts, 1u);
 
   // The timed-out request never touched the cluster and was never cached:
   // the retried id gets a real allocation.
-  slow.store(false);
   req.deadline_ms = 0;
   ASSERT_TRUE(client.call(req, reply, 5000)) << client.error();
   EXPECT_EQ(reply.status, ServeStatus::kOk);
@@ -104,24 +118,20 @@ TEST(Deadline, ExpiredRequestTimesOutWithoutStateMutation) {
 }
 
 TEST(Deadline, SlowSaRequestExpiresQueuedSuccessor) {
-  // An sa request occupies the strand while a 1 ms deadline on the
-  // request queued behind it runs out; the successor must expire at
-  // dequeue — answered kTimeout, never a hung worker, never a state
-  // mutation. The first batch's test_delay stall makes the head-of-line
-  // blocking long enough to be deterministic on any machine.
+  // An sa request sits at the head of the queue while a 1 ms deadline on
+  // the request queued behind it runs out; the successor must expire
+  // before service — answered kTimeout after the sa reply, never a hung
+  // loop, never a state mutation. Holding both admitted requests past
+  // that 1 ms makes the head-of-line blocking deterministic on any
+  // machine, however fast the sa search runs.
   const Tree tree = make_two_level_tree(8, 16);  // 128 nodes
   ServiceOptions service_options;
   service_options.default_allocator = AllocatorKind::kSa;
   service_options.sa.budget = 50000;
-  std::atomic<int> batches{0};
+  std::atomic<bool> hold{true};
   ServerOptions server_options;
   server_options.socket_path = unique_socket("sa");
-  server_options.threads = 1;
-  server_options.batch = 1;  // successor dequeues after sa finishes
-  server_options.test_delay = [&batches] {
-    if (batches.fetch_add(1) == 0)
-      std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  };
+  server_options.test_hold = [&hold] { return hold.load(); };
   Server server(tree, service_options, server_options);
   ASSERT_TRUE(server.start()) << server.error();
   Client client;
@@ -132,6 +142,9 @@ TEST(Deadline, SlowSaRequestExpiresQueuedSuccessor) {
   Request fast_req = alloc_request(2, 2, 4);
   fast_req.deadline_ms = 1;
   ASSERT_TRUE(client.send_request(fast_req));
+  ASSERT_TRUE(eventually([&] { return server.stats().frames_in == 2; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  hold.store(false);
 
   Reply first, second;
   ASSERT_TRUE(client.recv_reply(first, 30000)) << client.error();
@@ -148,18 +161,11 @@ TEST(Deadline, SlowSaRequestExpiresQueuedSuccessor) {
 
 TEST(Admission, OverflowRejectionAccountingIsExact) {
   const Tree tree = make_two_level_tree(4, 8);
-  std::mutex gate_mutex;
-  std::condition_variable gate_cv;
-  bool gate_open = false;
+  std::atomic<bool> gate_open{false};
   ServerOptions server_options;
   server_options.socket_path = unique_socket("reject");
-  server_options.threads = 1;
   server_options.queue_depth = 4;
-  server_options.batch = 1;
-  server_options.test_delay = [&] {
-    std::unique_lock<std::mutex> lock(gate_mutex);
-    gate_cv.wait(lock, [&] { return gate_open; });
-  };
+  server_options.test_hold = [&gate_open] { return !gate_open.load(); };
   Server server(tree, ServiceOptions{}, server_options);
   ASSERT_TRUE(server.start()) << server.error();
   Client client;
@@ -170,17 +176,13 @@ TEST(Admission, OverflowRejectionAccountingIsExact) {
     ASSERT_TRUE(client.send_request(
         alloc_request(static_cast<std::uint64_t>(i + 1), i + 1, 1)));
 
-  // With the strand gated, exactly queue_depth requests are admitted
-  // (queued or in service); every later arrival is rejected by the reader.
+  // With service held, exactly queue_depth requests are admitted; every
+  // later arrival is rejected as soon as it is decoded.
   ASSERT_TRUE(eventually([&] { return server.stats().frames_in == kTotal; }));
   EXPECT_EQ(server.stats().rejected,
             static_cast<std::uint64_t>(kTotal) - 4);
 
-  {
-    std::lock_guard<std::mutex> lock(gate_mutex);
-    gate_open = true;
-  }
-  gate_cv.notify_all();
+  gate_open.store(true);
 
   int ok = 0, rejected = 0, other = 0;
   Reply reply;
@@ -235,9 +237,12 @@ TEST(SlowClient, StalledReaderIsDroppedWithoutWedgingWorkers) {
   const Tree tree = make_two_level_tree(4, 8);
   ServerOptions server_options;
   server_options.socket_path = unique_socket("stallread");
-  server_options.threads = 2;
-  server_options.write_timeout_ms = 200;
+  server_options.write_timeout_ms = 2000;  // the healthy call fits inside
   server_options.send_buffer_bytes = 4096;  // make backpressure cheap to hit
+  // Room for all 5000 hog frames: a hog frame decoded in the same pass as
+  // the healthy request must not fill the admission bound (Admission.*
+  // covers that); this test is about reads and writes.
+  server_options.queue_depth = 8192;
   Server server(tree, ServiceOptions{}, server_options);
   ASSERT_TRUE(server.start()) << server.error();
 
@@ -262,20 +267,77 @@ TEST(SlowClient, StalledReaderIsDroppedWithoutWedgingWorkers) {
     if (n <= 0) break;
     off += static_cast<std::size_t>(n);
   }
-  EXPECT_TRUE(
-      eventually([&] { return server.stats().connections_dropped >= 1; }))
-      << "write timeout should drop the never-reading client";
 
-  // Both strand workers are still alive and serving.
+  // While the hog is still connected with its replies unflushed, a healthy
+  // client is answered promptly: the loop stops reading the hog, not
+  // serving everyone else.
   Client client;
   ASSERT_TRUE(client.connect(server_options.socket_path)) << client.error();
   Reply reply;
-  ASSERT_TRUE(client.call(alloc_request(1, 77, 4), reply, 5000))
+  ASSERT_TRUE(client.call(alloc_request(1, 77, 4), reply, 1000))
       << client.error();
   EXPECT_EQ(reply.status, ServeStatus::kOk);
+  EXPECT_EQ(server.stats().connections_dropped, 0u)
+      << "the healthy client must not have waited for the hog's drop";
+
+  EXPECT_TRUE(
+      eventually([&] { return server.stats().connections_dropped >= 1; }))
+      << "write timeout should drop the never-reading client";
   ::close(hog);
   client.close();
   server.drain();
+}
+
+TEST(Malformed, BadFramesAreAnsweredAndContained) {
+  const Tree tree = make_two_level_tree(4, 8);
+  ServerOptions server_options;
+  server_options.socket_path = unique_socket("malformed");
+  Server server(tree, ServiceOptions{}, server_options);
+  ASSERT_TRUE(server.start()) << server.error();
+  Client client;
+  ASSERT_TRUE(client.connect(server_options.socket_path)) << client.error();
+
+  // A well-formed frame with a bad enum value earns an error reply, and
+  // the same stream then serves a valid request.
+  Request bad = alloc_request(1, 1, 4);
+  bad.pattern = static_cast<Pattern>(0xee);
+  Reply reply;
+  ASSERT_TRUE(client.call(bad, reply, 5000)) << client.error();
+  EXPECT_EQ(reply.type, MsgType::kErrorReply);
+  EXPECT_EQ(reply.status, ServeStatus::kBadRequest);
+  EXPECT_EQ(reply.req_id, 1u);
+  ASSERT_TRUE(client.call(alloc_request(2, 2, 4), reply, 5000))
+      << client.error();
+  EXPECT_EQ(reply.status, ServeStatus::kOk);
+  EXPECT_EQ(server.stats().decode_errors, 1u);
+  EXPECT_EQ(server.stats().connections_dropped, 0u);
+
+  // An oversized length prefix cannot be resynchronized: one error reply,
+  // then the server closes the stream.
+  const int corrupt = raw_connect(server_options.socket_path);
+  ASSERT_GE(corrupt, 0);
+  const std::uint8_t huge[4] = {0xff, 0xff, 0xff, 0xff};
+  ASSERT_EQ(::send(corrupt, huge, sizeof huge, 0),
+            static_cast<ssize_t>(sizeof huge));
+  std::vector<std::uint8_t> bytes;
+  EXPECT_TRUE(read_until_closed(corrupt, bytes)) << "stream left open";
+  ::close(corrupt);
+  std::size_t offset = 0;
+  std::span<const std::uint8_t> payload;
+  ASSERT_EQ(peel_frame(bytes, offset, payload), DecodeResult::kOk);
+  ASSERT_EQ(decode_reply(payload, reply), DecodeResult::kOk);
+  EXPECT_EQ(reply.status, ServeStatus::kBadRequest);
+  EXPECT_EQ(offset, bytes.size()) << "one reply, then the close";
+  EXPECT_EQ(server.stats().decode_errors, 2u);
+  EXPECT_EQ(server.stats().connections_dropped, 1u);
+
+  // The first client is unaffected.
+  ASSERT_TRUE(client.call(alloc_request(3, 3, 4), reply, 5000))
+      << client.error();
+  EXPECT_EQ(reply.status, ServeStatus::kOk);
+  client.close();
+  server.drain();
+  EXPECT_EQ(server.service().state().job_count(), 2u);
 }
 
 }  // namespace

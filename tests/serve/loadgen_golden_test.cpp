@@ -2,8 +2,8 @@
 // (hex image of every wire frame), the open-loop send schedule, and the
 // wall-time-stripped reply log for a fixed seed are compared byte for
 // byte against files checked into tests/serve/golden/. The reply log is
-// additionally replayed through a real daemon at worker counts {1, 4} —
-// COMMSCHED_THREADS and strand scheduling must never leak into replies.
+// additionally replayed through a real daemon — transport, admission and
+// the event loop must never leak into replies.
 //
 // To regenerate after an *intentional* generator or pricing change:
 //   COMMSCHED_REGEN_GOLDEN=1 ./serve_loadgen_golden_test
@@ -114,36 +114,32 @@ TEST(LoadgenGolden, ReplyLogIsPinned) {
                 joined(reference_log(stream, tree, ServiceOptions{})));
 }
 
-TEST(LoadgenGolden, DaemonReplayMatchesGoldenAtAnyWorkerCount) {
+TEST(LoadgenGolden, DaemonReplayMatchesGolden) {
   // The same stream through a real daemon — replies must equal the
-  // checked-in golden log regardless of the strand worker count. (In
-  // regen mode the reference test above rewrites the golden; this test
-  // then still cross-checks the daemon against the fresh oracle.)
+  // checked-in golden log. (In regen mode the reference test above
+  // rewrites the golden; this test then still cross-checks the daemon
+  // against the fresh oracle.)
   const Tree tree = make_two_level_tree(kGoldenLeaves, kGoldenNodesPerLeaf);
   const LoadStream stream = build_stream(golden_spec(), tree.node_count());
   const std::string expected =
       regen() ? joined(reference_log(stream, tree, ServiceOptions{}))
               : read_file(golden_path("loadgen_replies.log"));
 
-  for (const int threads : {1, 4}) {
-    ServerOptions server_options;
-    server_options.socket_path = std::string(::testing::TempDir()) +
-                                 "/commsched_golden_w" +
-                                 std::to_string(threads) + "_" +
-                                 std::to_string(::getpid()) + ".sock";
-    server_options.threads = threads;
-    Server server(tree, ServiceOptions{}, server_options);
-    ASSERT_TRUE(server.start()) << server.error();
-    Client client;
-    ASSERT_TRUE(client.connect(server_options.socket_path)) << client.error();
-    ReplayOptions replay_options;
-    replay_options.collect_log = true;
-    const ReplayResult result = replay(client, stream, replay_options);
-    ASSERT_TRUE(result.complete) << client.error();
-    EXPECT_EQ(joined(result.log), expected) << "workers=" << threads;
-    client.close();
-    server.drain();
-  }
+  ServerOptions server_options;
+  server_options.socket_path = std::string(::testing::TempDir()) +
+                               "/commsched_golden_" +
+                               std::to_string(::getpid()) + ".sock";
+  Server server(tree, ServiceOptions{}, server_options);
+  ASSERT_TRUE(server.start()) << server.error();
+  Client client;
+  ASSERT_TRUE(client.connect(server_options.socket_path)) << client.error();
+  ReplayOptions replay_options;
+  replay_options.collect_log = true;
+  const ReplayResult result = replay(client, stream, replay_options);
+  ASSERT_TRUE(result.complete) << client.error();
+  EXPECT_EQ(joined(result.log), expected);
+  client.close();
+  server.drain();
 }
 
 }  // namespace

@@ -2,15 +2,14 @@
 // that comes back over the socket is bit-identical to what an inline
 // AllocatorService (and therefore an inline Allocator::select() +
 // CostModel::candidate_cost(), see service_test.cpp) produces for the
-// same request stream — across allocators (including sa) and across
-// strand worker counts {1, 4, 8}. Costs are compared through their
-// shortest-round-trip decimal rendering (json_number), which is exact
-// for doubles, and node sets rank by rank — a canonical log line per
-// stream position, diffed byte for byte.
+// same request stream — across allocators (including sa). Costs are
+// compared through their shortest-round-trip decimal rendering
+// (json_number), which is exact for doubles, and node sets rank by rank —
+// a canonical log line per stream position, diffed byte for byte.
 //
-// This is also the server path's TSan leg: reader threads, the strand on
-// the shared pool, admission control and reply writes all run under the
-// sanitizer matrix here.
+// This is also the server path's TSan leg: the loop thread serving a
+// client thread, admission control and the drain hand-off all run under
+// the sanitizer matrix here.
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
@@ -32,15 +31,14 @@ std::string unique_socket(const std::string& tag) {
          std::to_string(::getpid()) + ".sock";
 }
 
-// Replay `stream` against an in-process server with `threads` strand
-// workers and return the canonical reply log.
+// Replay `stream` against an in-process server and return the canonical
+// reply log.
 std::vector<std::string> daemon_log(const Tree& tree,
                                     const ServiceOptions& service_options,
-                                    const LoadStream& stream, int threads,
+                                    const LoadStream& stream,
                                     const std::string& tag) {
   ServerOptions server_options;
   server_options.socket_path = unique_socket(tag);
-  server_options.threads = threads;
   Server server(tree, service_options, server_options);
   EXPECT_TRUE(server.start()) << server.error();
   Client client;
@@ -68,7 +66,7 @@ void expect_logs_equal(const std::vector<std::string>& daemon,
 
 class ServerDiffTest : public ::testing::TestWithParam<AllocatorKind> {};
 
-TEST_P(ServerDiffTest, DaemonMatchesInlineAtEveryWorkerCount) {
+TEST_P(ServerDiffTest, DaemonMatchesInline) {
   const AllocatorKind kind = GetParam();
   const Tree tree = make_two_level_tree(8, 8);  // 64 nodes
 
@@ -81,16 +79,9 @@ TEST_P(ServerDiffTest, DaemonMatchesInlineAtEveryWorkerCount) {
   spec.allocator = static_cast<std::uint8_t>(kind);
   const LoadStream stream = build_stream(spec, tree.node_count());
 
-  const std::vector<std::string> inline_ref =
-      reference_log(stream, tree, service_options);
-
-  for (const int threads : {1, 4, 8}) {
-    const std::string tag = std::string(allocator_kind_name(kind)) + "-w" +
-                            std::to_string(threads);
-    expect_logs_equal(
-        daemon_log(tree, service_options, stream, threads, tag), inline_ref,
-        tag);
-  }
+  const std::string tag = allocator_kind_name(kind);
+  expect_logs_equal(daemon_log(tree, service_options, stream, tag),
+                    reference_log(stream, tree, service_options), tag);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -111,7 +102,7 @@ TEST(ServerDiff, ServerDefaultPolicyMatchesInline) {
   spec.requests = 500;  // allocator stays kServerAllocator
   const LoadStream stream = build_stream(spec, tree.node_count());
   expect_logs_equal(
-      daemon_log(tree, service_options, stream, 4, "default-policy"),
+      daemon_log(tree, service_options, stream, "default-policy"),
       reference_log(stream, tree, service_options), "default-policy");
 }
 
@@ -125,7 +116,6 @@ TEST(ServerDiff, ConcurrentConnectionsStayPerStreamDeterministic) {
   ServiceOptions service_options;
   ServerOptions server_options;
   server_options.socket_path = unique_socket("multi");
-  server_options.threads = 4;
   Server server(tree, service_options, server_options);
   ASSERT_TRUE(server.start()) << server.error();
 

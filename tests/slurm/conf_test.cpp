@@ -164,12 +164,10 @@ TEST(SlurmConfTest, SaKnobsRoundTripThroughWrite) {
 
 TEST(SlurmConfTest, AllocdParametersParse) {
   const SlurmConf conf = parse(
-      "AllocdParameters=socket=/run/allocd.sock,threads=4,queue=256,"
-      "batch=8,deadline_ms=50,idle_ms=1000,write_ms=250\n");
+      "AllocdParameters=socket=/run/allocd.sock,queue=256,"
+      "deadline_ms=50,idle_ms=1000,write_ms=250\n");
   EXPECT_EQ(conf.serve.socket_path, "/run/allocd.sock");
-  EXPECT_EQ(conf.serve.threads, 4);
   EXPECT_EQ(conf.serve.queue_depth, 256);
-  EXPECT_EQ(conf.serve.batch, 8);
   EXPECT_EQ(conf.serve.default_deadline_ms, 50);
   EXPECT_EQ(conf.serve.idle_timeout_ms, 1000);
   EXPECT_EQ(conf.serve.write_timeout_ms, 250);
@@ -177,43 +175,42 @@ TEST(SlurmConfTest, AllocdParametersParse) {
   // Defaults without the key, and partial specs keep the rest default.
   const SlurmConf bare = parse("");
   EXPECT_EQ(bare.serve.queue_depth, ServeConf{}.queue_depth);
-  const SlurmConf partial = parse("AllocdParameters=threads=2\n");
-  EXPECT_EQ(partial.serve.threads, 2);
+  const SlurmConf partial = parse("AllocdParameters=idle_ms=2\n");
+  EXPECT_EQ(partial.serve.idle_timeout_ms, 2);
   EXPECT_EQ(partial.serve.queue_depth, ServeConf{}.queue_depth);
   EXPECT_EQ(partial.serve.socket_path, ServeConf{}.socket_path);
 }
 
 TEST(SlurmConfTest, AllocdParametersRejections) {
   EXPECT_THROW(parse("AllocdParameters=socket=\n"), ParseError);
-  EXPECT_THROW(parse("AllocdParameters=threads=-1\n"), ParseError);
   EXPECT_THROW(parse("AllocdParameters=queue=0\n"), ParseError);
-  EXPECT_THROW(parse("AllocdParameters=batch=none\n"), ParseError);
   EXPECT_THROW(parse("AllocdParameters=deadline_ms=-5\n"), ParseError);
   EXPECT_THROW(parse("AllocdParameters=idle_ms=soon\n"), ParseError);
   EXPECT_THROW(parse("AllocdParameters=write_ms=-1\n"), ParseError);
-  // Unknown-token errors teach the valid vocabulary.
-  try {
-    parse("AllocdParameters=turbo=1\n");
-    FAIL() << "unknown token must throw";
-  } catch (const ParseError& e) {
-    EXPECT_NE(std::string(e.what()).find("socket="), std::string::npos);
+  // Unknown-token errors teach the valid vocabulary. The daemon serves
+  // from one loop thread, so the old worker knobs are unknown too.
+  for (const char* token : {"turbo=1", "threads=4", "batch=8"}) {
+    try {
+      parse(std::string("AllocdParameters=") + token + "\n");
+      FAIL() << "unknown token " << token << " must throw";
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown AllocdParameters token"),
+                std::string::npos);
+      EXPECT_NE(std::string(e.what()).find("socket="), std::string::npos);
+    }
   }
 }
 
 TEST(SlurmConfTest, AllocdParametersRoundTripThroughWrite) {
   SlurmConf conf;
   conf.serve.socket_path = "/tmp/allocd.sock";
-  conf.serve.threads = 3;
   conf.serve.queue_depth = 2048;
-  conf.serve.batch = 32;
   conf.serve.default_deadline_ms = 10;
   conf.serve.idle_timeout_ms = 60000;
   conf.serve.write_timeout_ms = 100;
   const SlurmConf parsed = parse(write_slurm_conf(conf));
   EXPECT_EQ(parsed.serve.socket_path, conf.serve.socket_path);
-  EXPECT_EQ(parsed.serve.threads, conf.serve.threads);
   EXPECT_EQ(parsed.serve.queue_depth, conf.serve.queue_depth);
-  EXPECT_EQ(parsed.serve.batch, conf.serve.batch);
   EXPECT_EQ(parsed.serve.default_deadline_ms, conf.serve.default_deadline_ms);
   EXPECT_EQ(parsed.serve.idle_timeout_ms, conf.serve.idle_timeout_ms);
   EXPECT_EQ(parsed.serve.write_timeout_ms, conf.serve.write_timeout_ms);

@@ -5,8 +5,9 @@ tests/tools/contracts_fixtures/ is a miniature repo tree seeded with one
 violation per rule family the analyzer enforces (DESIGN.md "Effect
 contracts"): a transitive allocation through a helper, a virtual dispatch
 to an allocating override, unjustified static and mutable state on the
-run_cell worker path, a wall-clock read in src/sched/, an unordered-map
-iteration in src/exp/, and a trusted escape at both granularities. The
+run_cell worker path, a named thread root whose class lacks the method, a
+wall-clock read in src/sched/, an unordered-map iteration in src/exp/,
+and a trusted escape at both granularities. The
 driver runs analyze.py with --repo-root pointed at the fixture tree and
 asserts the exact rule ids, offending functions, call chains and trusted
 inventory — plus that --update-baseline makes a re-run exit clean.
@@ -47,6 +48,7 @@ EXPECTED_VIOLATIONS = [
      ["commsched::hot_entry", "commsched::append_twice"]),
     ("thread-safe-mutable", "commsched::Tally::peek",
      ["commsched::run_cell", "commsched::Tally::peek"]),
+    ("thread-safe-root-missing", "commsched::serve::Server::run_loop", []),
     ("thread-safe-static", "commsched::bump_counter",
      ["commsched::run_cell", "commsched::bump_counter"]),
 ]

@@ -3,14 +3,18 @@
 //
 // Serves allocation/release/query requests over a unix stream socket,
 // fronting one AllocatorService (immutable topology, one ClusterState,
-// warm CommCache, every registered policy including sa) with the strand
-// server in src/serve. Configuration comes from the same slurm.conf the
-// simulator reads: JobAware / SelectTypeParameters pick the default
-// policy, AllocdParameters carries the daemon knobs.
+// warm CommCache, every registered policy including sa) with the
+// single-threaded event-loop server in src/serve. Configuration comes from
+// the same slurm.conf the simulator reads: JobAware / SelectTypeParameters
+// pick the default policy, AllocdParameters carries the daemon knobs.
 //
 // Usage:
 //   allocd --socket <path> [--conf <slurm.conf>] [--leaves N]
-//          [--nodes-per-leaf M] [--threads N] [--queue N]
+//          [--nodes-per-leaf M] [--queue N]
+//
+// `--threads N` (N >= 0) is accepted and ignored, so existing command
+// lines keep working (perfbench/serve.cpp passes `--threads 1`): the
+// daemon serves from one loop thread whatever the count.
 //
 // The daemon builds a two-level tree (N leaf switches x M nodes), prints
 // one "listening" line, and runs until a client sends kDrain (graceful:
@@ -19,7 +23,8 @@
 // machine — re-sent idempotent request ids get identical answers
 // (tests/serve/daemon_kill_test.cpp).
 //
-// Exit status: 0 after a graceful drain, 1 on setup failure.
+// Exit status: 0 after a graceful drain, 1 on setup failure or when the
+// event loop stopped on an error.
 #include <exception>
 #include <iostream>
 #include <string>
@@ -33,8 +38,7 @@ namespace {
 
 int usage() {
   std::cerr << "usage: allocd --socket <path> [--conf <slurm.conf>] "
-               "[--leaves N] [--nodes-per-leaf M] [--threads N] "
-               "[--queue N]\n";
+               "[--leaves N] [--nodes-per-leaf M] [--queue N]\n";
   return 1;
 }
 
@@ -43,7 +47,6 @@ int run(int argc, char** argv) {
   std::string conf_path;
   int leaves = 8;
   int nodes_per_leaf = 16;
-  int threads = -1;      // -1 = take from conf
   int queue_depth = -1;  // -1 = take from conf
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -65,8 +68,7 @@ int run(int argc, char** argv) {
       nodes_per_leaf = static_cast<int>(*v);
     } else if (arg == "--threads" && (value = next()) != nullptr) {
       const auto v = commsched::parse_int(value);
-      if (!v || *v < 0) return usage();
-      threads = static_cast<int>(*v);
+      if (!v || *v < 0) return usage();  // checked, then ignored
     } else if (arg == "--queue" && (value = next()) != nullptr) {
       const auto v = commsched::parse_int(value);
       if (!v || *v < 1) return usage();
@@ -95,10 +97,8 @@ int run(int argc, char** argv) {
 
   commsched::serve::ServerOptions server_options;
   server_options.socket_path = socket_path;
-  server_options.threads = threads >= 0 ? threads : conf.serve.threads;
   server_options.queue_depth = static_cast<std::size_t>(
       queue_depth >= 1 ? queue_depth : conf.serve.queue_depth);
-  server_options.batch = static_cast<std::size_t>(conf.serve.batch);
   server_options.default_deadline_ms =
       static_cast<std::uint32_t>(conf.serve.default_deadline_ms);
   server_options.idle_timeout_ms =
@@ -117,6 +117,10 @@ int run(int argc, char** argv) {
             << std::endl;
   server.wait_drain_requested();
   server.drain();
+  if (!server.error().empty()) {
+    std::cerr << "allocd: " << server.error() << "\n";
+    return 1;
+  }
   const commsched::serve::ServerStats stats = server.stats();
   std::cout << "allocd: drained after " << stats.frames_in << " frames ("
             << stats.rejected << " rejected, " << stats.timeouts

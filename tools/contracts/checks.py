@@ -7,12 +7,16 @@ no-alloc      roots = every function annotated `// hot-path: no-alloc`.
               a trusted comment on the fact's own line (or the two lines
               above) waives just that fact. Every waiver is inventoried.
 
-thread-safe   roots = the campaign worker entry (run_cell), the thread-pool
-              worker loop, and every const method of CostModel (the class
-              is documented as share-across-threads). Reachable functions
-              must be annotated `// thread-safe:`, or carry no unjustified
-              static state and belong to no class with unjustified mutable
-              members — i.e. be provably const/stateless.
+thread-safe   roots = the campaign worker entry (run_cell), the methods
+              named in NAMED_THREAD_ROOTS (the thread-pool worker loop, the
+              allocator daemon's event loop and the service it drives),
+              and every const method of CostModel (the class is documented
+              as share-across-threads). Reachable functions must be
+              annotated `// thread-safe:`, or carry no unjustified static
+              state and belong to no class with unjustified mutable
+              members — i.e. be provably const/stateless. A named root
+              whose class exists without that method is itself a
+              violation, so a rename cannot silently shrink the check.
 
 determinism   scope = functions *defined* under src/sched, src/core,
               src/collectives, src/exp. Nothing there (nor anything they
@@ -176,27 +180,48 @@ def check_no_alloc(prog: Program) -> tuple[list[Violation], list[TrustEntry],
 # thread-safety
 # ---------------------------------------------------------------------------
 
+#: (class simple name, method) thread entry points. The allocator daemon's
+#: loop thread runs beside the other threads of the process that embeds
+#: the server, so what it reaches must be free of unjustified statics too.
+NAMED_THREAD_ROOTS = (
+    ("ThreadPool", "worker_loop"),
+    ("Server", "run_loop"),
+    ("AllocatorService", "handle"),
+)
+
+
 def thread_roots(prog: Program) -> list[str]:
     roots = []
     for key, fn in prog.functions.items():
         if not fn.has_body:
             continue
         cls_simple = (fn.class_name or "").split("::")[-1]
-        if fn.simple_name == "run_cell":
-            roots.append(key)
-        elif cls_simple == "ThreadPool" and fn.simple_name == "worker_loop":
-            roots.append(key)
-        elif cls_simple == "CostModel" and fn.is_const_method:
-            roots.append(key)
-        # The allocator daemon's request handlers run on pool workers and
-        # per-connection reader threads: everything they reach must hold
-        # the same no-unjustified-static discipline.
-        elif cls_simple == "Server" and fn.simple_name in (
-                "run_strand", "reader_loop", "admit", "write_reply"):
-            roots.append(key)
-        elif cls_simple == "AllocatorService" and fn.simple_name == "handle":
+        if fn.simple_name == "run_cell" \
+                or (cls_simple, fn.simple_name) in NAMED_THREAD_ROOTS \
+                or (cls_simple == "CostModel" and fn.is_const_method):
             roots.append(key)
     return sorted(roots)
+
+
+def missing_thread_roots(prog: Program) -> list[Violation]:
+    """A NAMED_THREAD_ROOTS class that exists without the named method:
+    the entry point was renamed and its subtree is no longer checked."""
+    violations = []
+    for cls_simple, method in NAMED_THREAD_ROOTS:
+        if any(prog.functions[k].has_body
+               for k in prog.by_class_method.get((cls_simple, method), ())):
+            continue
+        for cls in prog.classes.values():
+            if cls.qualified_name.split("::")[-1] != cls_simple:
+                continue
+            violations.append(Violation(
+                rule="thread-safe-root-missing",
+                function=f"{cls.qualified_name}::{method}",
+                location=f"{cls.file}:{cls.line}",
+                message=f"named thread root {cls_simple}::{method} is not "
+                        f"defined in {cls.qualified_name}: point "
+                        "NAMED_THREAD_ROOTS at the class's thread entry"))
+    return violations
 
 
 def check_thread_safety(prog: Program) -> tuple[list[Violation],
@@ -204,7 +229,7 @@ def check_thread_safety(prog: Program) -> tuple[list[Violation],
     merged = _effective(prog)
     roots = thread_roots(prog)
     pred = reachable_from(prog, roots, FAMILY_THREAD_SAFE)
-    violations: list[Violation] = []
+    violations = missing_thread_roots(prog)
     trusted: list[TrustEntry] = []
     seen_trust: set[str] = set()
     flagged_classes: set[str] = set()
