@@ -11,11 +11,13 @@
 //      vs after switch-major reordering + swap hill-climb, on individual
 //      probes.
 #include <iostream>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "collectives/comm_cache.hpp"
 #include "collectives/schedule.hpp"
+#include "core/allocator_common.hpp"
 #include "core/cost_model.hpp"
 #include "exp/campaign.hpp"
 #include "exp/emit.hpp"
@@ -109,7 +111,12 @@ int main() {
   // the leaves it touches, then reorder.
   const auto default_alloc = make_allocator(AllocatorKind::kDefault);
   const CostModel model(theta.tree, CostOptions{.hop_bytes = true});
-  CommCache schedules(1 << 20);
+  CommCache profiles(1 << 20);
+  CostWorkspace workspace;
+  const auto price = [&](std::span<const NodeId> order, Pattern pattern) {
+    return profiled_candidate_cost(model, profiles, state, order, true,
+                                   pattern, workspace);
+  };
   double cost_striped = 0.0, cost_major = 0.0, cost_climbed = 0.0;
   int evaluated = 0;
   for (const auto& job : probes) {
@@ -140,13 +147,12 @@ int main() {
       for (const auto& leaf_nodes : per_leaf_nodes)
         if (round < leaf_nodes.size()) striped.push_back(leaf_nodes[round]);
 
-    const CommSchedule& schedule =
-        schedules.schedule(job.pattern, job.num_nodes);
-    cost_striped += model.candidate_cost(state, striped, true, schedule);
+    cost_striped += price(striped, job.pattern);
     const auto major = switch_major_order(theta.tree, striped);
-    cost_major += model.candidate_cost(state, major, true, schedule);
-    const auto climbed = improve_mapping(state, model, schedule, striped, true);
-    cost_climbed += model.candidate_cost(state, climbed, true, schedule);
+    cost_major += price(major, job.pattern);
+    const auto climbed = improve_mapping(
+        state, model, job.pattern, profiles.base_msize(), striped, true);
+    cost_climbed += price(climbed, job.pattern);
     ++evaluated;
   }
   TextTable mapping_table;

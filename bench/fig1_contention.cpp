@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "cluster/state.hpp"
+#include "collectives/comm_cache.hpp"
 #include "core/cost_model.hpp"
 #include "exp/emit.hpp"
 #include "netsim/sim.hpp"
@@ -86,10 +87,16 @@ int main() {
   with_j2.allocate(2, true, j2.nodes);
   without_j2.allocate(1, true, j1.nodes);
   const CostModel model(tree);
-  const auto schedule = make_schedule(j1.pattern, 8, j1.msize);
-  const double cost_with = model.allocation_cost(with_j2, j1.nodes, schedule);
-  const double cost_without =
-      model.allocation_cost(without_j2, j1.nodes, schedule);
+  const LeafCommProfile profile = make_leaf_comm_profile(
+      j1.pattern, j1.msize, make_shape_key(tree, j1.nodes),
+      /*ranks_per_node=*/1);
+  CostWorkspace workspace;
+  // J1 is already committed in both states, so price it without a
+  // candidate overlay.
+  const double cost_with = model.candidate_cost(
+      with_j2, j1.nodes, /*comm_intensive=*/false, profile, workspace);
+  const double cost_without = model.candidate_cost(
+      without_j2, j1.nodes, /*comm_intensive=*/false, profile, workspace);
 
   for (const auto& ex : e1) {
     bool hit = false;

@@ -1,24 +1,28 @@
-// Micro-benchmark: the three Eq. 5/6 evaluation paths against each other —
-// pair-by-pair reference, leaf-aggregated fast kernel (PR 1), and the
-// shape-canonicalized LeafCommProfile path through a warm CommCache — on a
-// Theta-like tree with a realistic background load.
+// Micro-benchmark: CostModel's Eq. 5/6 profile kernel against the
+// pair-by-pair oracle (tests/support/cost_oracle.hpp) on a Theta-like tree
+// with a realistic background load. Every timed call returns one candidate
+// cost.
 //
 // Two scenarios:
 //   striped   allocation striped across all 12 leaves (worst case for leaf
-//             dedup), rpn=1; times reference vs fast vs warm-profile;
+//             dedup), rpn=1; times the oracle ("before") vs the cold profile
+//             path (canonicalize the shape, build the profile uncached,
+//             price it — what mapping/reorder pays per ordering) vs the warm
+//             profile path (canonicalize, CommCache hit, price);
 //   block8    fixed leaf footprint — 8 leaves, block-contiguous, 2 ranks per
-//             node — at 512/1024/4096 ranks; times fast vs cold profile
-//             build vs warm profile. With the leaf footprint fixed, the
-//             warm-profile cost per call should stay roughly flat as ranks
-//             grow (the class count depends on the shape, not on p), while
-//             the fast kernel still walks every rank pair. The reference
-//             path is skipped here (minutes per call at 4096-rank alltoall).
+//             node — at 512/1024/4096 ranks; times cold vs warm profile.
+//             With the leaf footprint fixed, the warm-profile cost per call
+//             should stay roughly flat as ranks grow (the class count
+//             depends on the shape, not on p). The oracle is skipped here:
+//             it walks all 8M rank pairs of the 4096-rank alltoall per call.
 //
 // Outputs:
 //   bench_out/micro_cost.csv           one row per (pattern, nranks), striped
 //   bench_out/micro_cost_profile.csv   one row per (pattern, nranks), block8
 //   BENCH_cost_model.json              perf snapshot at the repo root (run
-//                                      from there) for regression tracking
+//                                      from there) for regression tracking,
+//                                      with the host CPU model, its core
+//                                      count and the checkout's commit
 //
 // Run from the repo root: ./build/bench/bench_micro_cost
 #include <chrono>
@@ -26,12 +30,15 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cluster/state.hpp"
 #include "collectives/comm_cache.hpp"
 #include "collectives/schedule.hpp"
 #include "core/cost_model.hpp"
+#include "host_info.hpp"
+#include "support/cost_oracle.hpp"
 #include "topology/builders.hpp"
 #include "util/rng.hpp"
 
@@ -80,8 +87,8 @@ struct Row {
   std::string pattern;
   int nranks = 0;
   std::int64_t pair_messages = 0;
-  double ref_ns = 0.0;
-  double fast_ns = 0.0;
+  double oracle_ns = 0.0;
+  double profile_cold_ns = 0.0;
   double profile_warm_ns = 0.0;
 };
 
@@ -90,14 +97,13 @@ struct ProfileRow {
   int nranks = 0;
   std::size_t classes = 0;
   std::size_t steps = 0;
-  double fast_ns = 0.0;
   double cold_ns = 0.0;
   double warm_ns = 0.0;
 };
 
 template <typename F>
 double time_ns_per_call(F&& call, int min_reps) {
-  // Warm up (first fast call sizes the scratch), then time enough reps for
+  // Warm up (the first call sizes the scratch), then time enough reps for
   // a stable average.
   volatile double sink = call();
   const auto start = std::chrono::steady_clock::now();
@@ -152,7 +158,22 @@ int run() {
       Pattern::kRecursiveDoubling, Pattern::kRecursiveHalvingVD,
       Pattern::kBinomial, Pattern::kRing, Pattern::kPairwiseAlltoall};
 
-  // --- striped scenario: reference vs fast vs warm profile ----------------
+  // Full caller sequences: canonicalize the shape, then either build the
+  // profile uncached (cold) or hit the cache (warm), then price it.
+  const auto cold_cost = [&](Pattern pattern, int rpn,
+                             const std::vector<NodeId>& nodes) {
+    const LeafCommProfile built = make_leaf_comm_profile(
+        pattern, 1 << 20, make_shape_key(tree, nodes), rpn);
+    return model.candidate_cost(state, nodes, true, built, workspace);
+  };
+  const auto warm_cost = [&](Pattern pattern, int rpn,
+                             const std::vector<NodeId>& nodes) {
+    const ShapeKey key = make_shape_key(tree, nodes);
+    const LeafCommProfile& profile = cache.profile(pattern, rpn, key);
+    return model.candidate_cost(state, nodes, true, profile, workspace);
+  };
+
+  // --- striped scenario: oracle vs cold vs warm profile -------------------
   constexpr int kRanks[] = {64, 512, 1024};
   std::vector<Row> rows;
   for (const int nranks : kRanks) {
@@ -164,32 +185,24 @@ int run() {
       row.pattern = pattern_name(pattern);
       row.nranks = nranks;
       row.pair_messages = total_pair_messages(schedule);
-      row.ref_ns = time_ns_per_call(
+      row.oracle_ns = time_ns_per_call(
           [&] {
-            return model.candidate_cost_reference(state, nodes, true,
-                                                  schedule);
+            return oracle_candidate_cost(model, state, nodes, 1, true,
+                                         schedule);
           },
           4);
-      row.fast_ns = time_ns_per_call(
-          [&] { return model.candidate_cost(state, nodes, true, schedule); },
-          4);
-      // Warm profile path, full caller sequence: canonicalize the shape,
-      // hit the cache, evaluate per class.
-      row.profile_warm_ns = time_ns_per_call(
-          [&] {
-            const ShapeKey key = make_shape_key(tree, nodes);
-            const LeafCommProfile& profile = cache.profile(pattern, 1, key);
-            return model.candidate_cost(state, nodes, true, profile,
-                                        workspace);
-          },
-          16);
+      row.profile_cold_ns =
+          time_ns_per_call([&] { return cold_cost(pattern, 1, nodes); }, 1);
+      row.profile_warm_ns =
+          time_ns_per_call([&] { return warm_cost(pattern, 1, nodes); }, 16);
       rows.push_back(row);
       std::printf(
-          "%-10s p=%5d pairs=%9lld ref=%11.1f fast=%11.1f warm=%9.1f ns  "
-          "fast/warm=%6.1fx\n",
+          "%-10s p=%5d pairs=%9lld oracle=%11.1f cold=%11.1f warm=%9.1f ns  "
+          "oracle/warm=%6.1fx\n",
           row.pattern.c_str(), row.nranks,
-          static_cast<long long>(row.pair_messages), row.ref_ns, row.fast_ns,
-          row.profile_warm_ns, row.fast_ns / row.profile_warm_ns);
+          static_cast<long long>(row.pair_messages), row.oracle_ns,
+          row.profile_cold_ns, row.profile_warm_ns,
+          row.oracle_ns / row.profile_warm_ns);
     }
   }
 
@@ -199,99 +212,87 @@ int run() {
   std::vector<ProfileRow> profile_rows;
   for (const int nranks : kBlockRanks) {
     const auto nodes = block8_allocation(tree, nranks / kRpn);
-    const auto expanded = expand_ranks_per_node(nodes, kRpn);
     const ShapeKey key = make_shape_key(tree, nodes);
     for (const Pattern pattern : kPatterns) {
-      const auto schedule = make_schedule(pattern, nranks, 1 << 20);
       ProfileRow row;
       row.pattern = pattern_name(pattern);
       row.nranks = nranks;
       const LeafCommProfile& warm_profile = cache.profile(pattern, kRpn, key);
       row.classes = warm_profile.classes.size();
       row.steps = warm_profile.steps.size();
-      row.fast_ns = time_ns_per_call(
-          [&] {
-            return model.candidate_cost(state, expanded, true, schedule);
-          },
-          2);
-      row.cold_ns = time_ns_per_call(
-          [&] {
-            const LeafCommProfile built =
-                make_leaf_comm_profile(pattern, 1 << 20, key, kRpn);
-            return static_cast<double>(built.steps.size());
-          },
-          1);
+      row.cold_ns =
+          time_ns_per_call([&] { return cold_cost(pattern, kRpn, nodes); }, 1);
       row.warm_ns = time_ns_per_call(
-          [&] {
-            const ShapeKey k = make_shape_key(tree, nodes);
-            const LeafCommProfile& profile = cache.profile(pattern, kRpn, k);
-            return model.candidate_cost(state, nodes, true, profile,
-                                        workspace);
-          },
-          16);
+          [&] { return warm_cost(pattern, kRpn, nodes); }, 16);
       profile_rows.push_back(row);
       std::printf(
-          "%-10s p=%5d classes=%4zu/%4zu fast=%11.1f cold=%11.1f "
-          "warm=%9.1f ns  fast/warm=%6.1fx\n",
-          row.pattern.c_str(), row.nranks, row.classes, row.steps, row.fast_ns,
-          row.cold_ns, row.warm_ns, row.fast_ns / row.warm_ns);
+          "%-10s p=%5d classes=%4zu/%4zu cold=%11.1f warm=%9.1f ns  "
+          "cold/warm=%6.1fx\n",
+          row.pattern.c_str(), row.nranks, row.classes, row.steps,
+          row.cold_ns, row.warm_ns, row.cold_ns / row.warm_ns);
     }
   }
 
-  csv << "pattern,nranks,pair_messages,reference_ns_per_call,fast_ns_per_call,"
-         "profile_warm_ns_per_call,speedup_ref_over_fast,"
-         "speedup_fast_over_warm\n";
+  csv << "pattern,nranks,pair_messages,oracle_ns_per_call,"
+         "profile_cold_ns_per_call,profile_warm_ns_per_call,"
+         "speedup_oracle_over_warm\n";
   for (const Row& row : rows)
     csv << row.pattern << ',' << row.nranks << ',' << row.pair_messages << ','
-        << row.ref_ns << ',' << row.fast_ns << ',' << row.profile_warm_ns
-        << ',' << row.ref_ns / row.fast_ns << ','
-        << row.fast_ns / row.profile_warm_ns << '\n';
+        << row.oracle_ns << ',' << row.profile_cold_ns << ','
+        << row.profile_warm_ns << ',' << row.oracle_ns / row.profile_warm_ns
+        << '\n';
 
-  profile_csv << "pattern,nranks,classes,steps,fast_ns_per_call,"
-                 "profile_cold_ns_per_call,profile_warm_ns_per_call,"
-                 "speedup_fast_over_warm\n";
+  profile_csv << "pattern,nranks,classes,steps,profile_cold_ns_per_call,"
+                 "profile_warm_ns_per_call,speedup_cold_over_warm\n";
   for (const ProfileRow& row : profile_rows)
     profile_csv << row.pattern << ',' << row.nranks << ',' << row.classes
-                << ',' << row.steps << ',' << row.fast_ns << ',' << row.cold_ns
-                << ',' << row.warm_ns << ',' << row.fast_ns / row.warm_ns
-                << '\n';
+                << ',' << row.steps << ',' << row.cold_ns << ','
+                << row.warm_ns << ',' << row.cold_ns / row.warm_ns << '\n';
 
+  const char* const cold_path =
+      "uncached LeafCommProfile path (make_shape_key + "
+      "make_leaf_comm_profile + candidate_cost)";
+  const char* const warm_path =
+      "warm CommCache LeafCommProfile path (make_shape_key + cache hit + "
+      "candidate_cost)";
   json << "{\n"
        << "  \"bench\": \"micro_cost\",\n"
+       << "  \"host\": \"" << cpu_model() << "\",\n"
+       << "  \"nproc\": " << std::thread::hardware_concurrency() << ",\n"
+       << "  \"commit\": \"" << source_commit() << "\",\n"
        << "  \"machine\": \"theta (12 leaves x 366 nodes)\",\n"
-       << "  \"metric\": \"ns per candidate_cost call\",\n"
-       << "  \"before\": \"pair-by-pair reference kernel "
-          "(cost_impl_reference)\",\n"
-       << "  \"after\": \"leaf-aggregated fast kernel (cost_impl)\",\n"
+       << "  \"metric\": \"ns per candidate cost\",\n"
+       << "  \"before\": \"pair-by-pair Eq. 6 oracle "
+          "(tests/support/cost_oracle.hpp)\",\n"
+       << "  \"cold\": \"" << cold_path << "\",\n"
+       << "  \"after\": \"" << warm_path << "\",\n"
        << "  \"cases\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& row = rows[i];
     json << "    {\"pattern\": \"" << row.pattern
          << "\", \"nranks\": " << row.nranks
          << ", \"pair_messages\": " << row.pair_messages
-         << ", \"before_ns\": " << row.ref_ns
-         << ", \"after_ns\": " << row.fast_ns
+         << ", \"before_ns\": " << row.oracle_ns
+         << ", \"profile_cold_ns\": " << row.profile_cold_ns
          << ", \"profile_warm_ns\": " << row.profile_warm_ns
-         << ", \"speedup\": " << row.ref_ns / row.fast_ns << "}"
+         << ", \"speedup\": " << row.oracle_ns / row.profile_warm_ns << "}"
          << (i + 1 < rows.size() ? ",\n" : "\n");
   }
   json << "  ],\n"
        << "  \"profile_block8\": {\n"
        << "    \"scenario\": \"8 leaves, block-contiguous, 2 ranks/node — "
           "fixed leaf footprint\",\n"
-       << "    \"before\": \"leaf-aggregated fast kernel (cost_impl)\",\n"
-       << "    \"after\": \"warm CommCache LeafCommProfile path "
-          "(cost_profile_impl)\",\n"
+       << "    \"before\": \"" << cold_path << "\",\n"
+       << "    \"after\": \"" << warm_path << "\",\n"
        << "    \"cases\": [\n";
   for (std::size_t i = 0; i < profile_rows.size(); ++i) {
     const ProfileRow& row = profile_rows[i];
     json << "      {\"pattern\": \"" << row.pattern
          << "\", \"nranks\": " << row.nranks
          << ", \"classes\": " << row.classes << ", \"steps\": " << row.steps
-         << ", \"fast_ns\": " << row.fast_ns
          << ", \"profile_cold_ns\": " << row.cold_ns
          << ", \"profile_warm_ns\": " << row.warm_ns
-         << ", \"speedup\": " << row.fast_ns / row.warm_ns << "}"
+         << ", \"speedup\": " << row.cold_ns / row.warm_ns << "}"
          << (i + 1 < profile_rows.size() ? ",\n" : "\n");
   }
   json << "    ]\n  }\n}\n";

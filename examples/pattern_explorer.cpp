@@ -10,7 +10,9 @@
 #include <string>
 
 #include "cluster/state.hpp"
+#include "collectives/comm_cache.hpp"
 #include "collectives/schedule.hpp"
+#include "core/allocator_common.hpp"
 #include "core/cost_model.hpp"
 #include "topology/builders.hpp"
 #include "util/strings.hpp"
@@ -72,6 +74,12 @@ int main(int argc, char** argv) {
   const Tree tree = make_two_level_tree(2, per_leaf);
   const ClusterState state(tree);
   const CostModel model(tree);
+  CommCache cache(base);
+  CostWorkspace workspace;
+  const auto cost_of = [&](const std::vector<NodeId>& nodes) {
+    return profiled_candidate_cost(model, cache, state, nodes, true, pattern,
+                                   workspace);
+  };
   std::vector<NodeId> block, interleaved;
   for (int r = 0; r < nprocs; ++r) {
     block.push_back(r < per_leaf ? r : per_leaf + (r - per_leaf));
@@ -81,11 +89,8 @@ int main(int argc, char** argv) {
   // ranks on leaf 0, odd on leaf 1.
   std::cout << "\nEq.6 cost on a 2-switch machine (" << per_leaf
             << " nodes/switch):\n"
-            << "  block placement:       "
-            << model.candidate_cost(state, block, true, schedule) << "\n"
-            << "  interleaved placement: "
-            << model.candidate_cost(state, interleaved, true, schedule)
-            << "\n"
+            << "  block placement:       " << cost_of(block) << "\n"
+            << "  interleaved placement: " << cost_of(interleaved) << "\n"
             << "\nThe balanced allocator (§4.2) exists to make the block-like"
             << "\nplacement happen, keeping the heavy exchanges intra-switch.\n";
   return 0;

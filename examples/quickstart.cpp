@@ -10,7 +10,8 @@
 #include <memory>
 
 #include "cluster/state.hpp"
-#include "collectives/schedule.hpp"
+#include "collectives/comm_cache.hpp"
+#include "core/allocator_common.hpp"
 #include "core/allocator_factory.hpp"
 #include "core/cost_model.hpp"
 #include "core/runtime_model.hpp"
@@ -47,9 +48,12 @@ int main() {
   request.pattern = Pattern::kRecursiveHalvingVD;
   request.msize = 1 << 20;
 
+  // Eq. 6 prices a placement through the job's collective schedule lowered
+  // onto the placement's leaf-switch shape; the cache keeps one such
+  // profile per distinct shape.
   const CostModel model(tree);
-  const CommSchedule schedule =
-      make_schedule(request.pattern, request.num_nodes, request.msize);
+  CommCache cache(request.msize);
+  CostWorkspace workspace;
 
   TextTable table;
   table.set_header({"policy", "nodes per leaf", "Eq.6 cost",
@@ -64,7 +68,8 @@ int main() {
     std::string layout;
     for (const auto& [leaf, count] : per_leaf)
       layout += tree.switch_name(leaf) + ":" + std::to_string(count) + " ";
-    const double cost = model.candidate_cost(state, *nodes, true, schedule);
+    const double cost = profiled_candidate_cost(
+        model, cache, state, *nodes, true, request.pattern, workspace);
     if (kind == AllocatorKind::kDefault) default_cost = cost;
     // A 1-hour job spending half its time in the collective:
     const double runtime =

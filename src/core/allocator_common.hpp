@@ -30,10 +30,9 @@ double communication_ratio(const ClusterState& state, SwitchId leaf);
 
 /// Price a candidate allocation through the shared profile cache: derive the
 /// allocation's canonical ShapeKey, look up (or build) the leaf-comm profile
-/// for `pattern` at one rank per node, and evaluate Eq. 6 through the
-/// profile kernel. The common pricing path of the adaptive and I/O-aware
-/// policies and of run_individual; bit-for-bit equal to
-/// model.candidate_cost(state, nodes, comm_intensive, schedule).
+/// for `pattern` at one rank per node, and evaluate Eq. 6 through
+/// model.candidate_cost. The common pricing path of the adaptive, I/O-aware
+/// and sa policies and of run_individual.
 double profiled_candidate_cost(const CostModel& model, CommCache& cache,
                                const ClusterState& state,
                                std::span<const NodeId> nodes,

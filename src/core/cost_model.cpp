@@ -37,17 +37,6 @@ int LeafOverlay::extra_comm(SwitchId leaf) const {
   return i < extra_.size() ? extra_[i] : 0;
 }
 
-std::vector<NodeId> expand_ranks_per_node(std::span<const NodeId> nodes,
-                                          int ranks_per_node) {
-  COMMSCHED_ASSERT_GE_MSG(ranks_per_node, 1,
-                          "need at least one rank per node");
-  std::vector<NodeId> ranks;
-  ranks.reserve(nodes.size() * static_cast<std::size_t>(ranks_per_node));
-  for (const NodeId n : nodes)
-    for (int r = 0; r < ranks_per_node; ++r) ranks.push_back(n);
-  return ranks;
-}
-
 CostModel::CostModel(const Tree& tree, CostOptions options)
     : tree_(&tree), options_(options) {}
 
@@ -62,8 +51,8 @@ double leaf_comm_fraction(const ClusterState& state, SwitchId leaf,
 }
 
 /// Eq. 5 hops between two leaves from frozen per-leaf contention inputs —
-/// the single arithmetic shared by the schedule/profile kernels (slot_hops)
-/// and the delta session, so every evaluation path agrees bit for bit.
+/// the single arithmetic shared by the profile kernel (slot_hops) and the
+/// delta session, so both agree bit for bit.
 // hot-path: no-alloc
 double eq5_hops(const Tree& tree, SwitchId la, SwitchId lb, double ca,
                 double na, double cb, double nb) {
@@ -77,8 +66,8 @@ double eq5_hops(const Tree& tree, SwitchId la, SwitchId lb, double ca,
   return d * (1.0 + contention);  // Eq. 5
 }
 
-/// Eq. 6 over a profile's steps from per-class worst-hops values. All
-/// profile paths (full kernel, delta begin, delta eval) sum through this
+/// Eq. 6 over a profile's steps from per-class worst-hops values. Every
+/// evaluation (full kernel, delta begin, delta eval) sums through this
 /// one loop: FP addition is order-sensitive, so sharing the step order is
 /// what keeps their totals bit-identical.
 // hot-path: no-alloc
@@ -109,16 +98,6 @@ void top3_insert(std::array<CostWorkspace::DeltaTop, 3>& top, double v,
       return;
     }
   }
-}
-
-/// Fallback scratch for the workspace-less convenience overloads. One per
-/// thread, so those overloads stay safe under concurrency too; callers in
-/// hot multi-threaded loops should still pass an explicit workspace to keep
-/// buffer reuse under their control.
-CostWorkspace& tls_workspace() {
-  // thread-safe: thread_local — each worker gets a private scratch buffer.
-  static thread_local CostWorkspace workspace;
-  return workspace;
 }
 
 }  // namespace
@@ -154,7 +133,6 @@ double CostModel::effective_hops(const ClusterState& state, NodeId i, NodeId j,
 std::size_t CostModel::map_leaves(const ClusterState& state,
                                   std::span<const NodeId> nodes,
                                   const LeafOverlay* overlay,
-                                  bool fill_rank_slot,
                                   CostWorkspace& ws) const {
   const Tree& tree = *tree_;
   const auto n_leaves = static_cast<std::size_t>(tree.leaf_count());
@@ -163,21 +141,17 @@ std::size_t CostModel::map_leaves(const ClusterState& state,
   ws.call_leaves_.clear();
   ws.call_leaf_comm_.clear();
   ws.call_leaf_nodes_.clear();
-  if (fill_rank_slot) ws.rank_slot_.resize(nodes.size());
-  for (std::size_t r = 0; r < nodes.size(); ++r) {
-    const SwitchId leaf = tree.leaf_of(nodes[r]);
+  for (const NodeId n : nodes) {
+    const SwitchId leaf = tree.leaf_of(n);
     const auto li = static_cast<std::size_t>(tree.leaf_index(leaf));
-    std::int32_t slot = ws.leaf_slot_[li];
-    if (slot < 0) {
-      slot = static_cast<std::int32_t>(ws.call_leaves_.size());
-      ws.leaf_slot_[li] = slot;
+    if (ws.leaf_slot_[li] < 0) {
+      ws.leaf_slot_[li] = static_cast<std::int32_t>(ws.call_leaves_.size());
       ws.call_leaves_.push_back(leaf);
       ws.call_leaf_comm_.push_back(static_cast<double>(
           state.leaf_comm(leaf) + (overlay ? overlay->extra_comm(leaf) : 0)));
       ws.call_leaf_nodes_.push_back(
           static_cast<double>(state.leaf_nodes(leaf)));
     }
-    if (fill_rank_slot) ws.rank_slot_[r] = slot;
   }
   return ws.call_leaves_.size();
 }
@@ -203,49 +177,6 @@ double CostModel::slot_hops(const Tree& tree, CostWorkspace& ws,
   return memo;
 }
 
-// Fast kernel: compact the allocation's leaves once, freeze the per-leaf
-// contention inputs, then memoize effective hops per (leaf, leaf) slot pair.
-// Each rank pair after the first with the same leaf pair is a single array
-// load, and the arithmetic matches cost_impl_reference operation-for-
-// operation so the two paths agree bit-for-bit.
-// hot-path: no-alloc
-double CostModel::cost_impl(const ClusterState& state,
-                            std::span<const NodeId> nodes,
-                            const CommSchedule& schedule,
-                            const LeafOverlay* overlay,
-                            CostWorkspace& ws) const {
-  const Tree& tree = *tree_;
-  const std::size_t k =
-      map_leaves(state, nodes, overlay, /*fill_rank_slot=*/true, ws);
-  ws.pair_hops_.assign(k * k, -1.0);
-
-  double total = 0.0;
-  for (const CommStep& step : schedule) {
-    double worst = 0.0;
-    for (const auto& [ri, rj] : step.pairs) {
-      COMMSCHED_ASSERT_MSG(
-          ri >= 0 && rj >= 0 &&
-              static_cast<std::size_t>(ri) < nodes.size() &&
-              static_cast<std::size_t>(rj) < nodes.size(),
-          "schedule rank out of range for this allocation");
-      if (nodes[static_cast<std::size_t>(ri)] ==
-          nodes[static_cast<std::size_t>(rj)])
-        continue;  // same node: zero hops
-      const auto sa =
-          static_cast<std::size_t>(ws.rank_slot_[static_cast<std::size_t>(ri)]);
-      const auto sb =
-          static_cast<std::size_t>(ws.rank_slot_[static_cast<std::size_t>(rj)]);
-      worst = std::max(worst, slot_hops(tree, ws, sa, sb, k));
-    }
-    double step_cost = worst * static_cast<double>(step.repeat);
-    if (options_.hop_bytes) step_cost *= step.msize;
-    total += step_cost;
-  }
-
-  release_slots(ws);
-  return total;
-}
-
 // Profile kernel: the per-step distinct leaf-pair sets are precomputed (and
 // deduplicated into classes) in the LeafCommProfile, so the expensive Eq. 5
 // evaluations run once per class pair and each step reduces to one
@@ -254,7 +185,7 @@ double CostModel::cost_impl(const ClusterState& state,
 // cannot change a max, same-node pairs contribute exactly 0 (the reference's
 // starting value), and the summation below visits steps in the identical
 // order with identical per-step arithmetic, so the result is bit-for-bit
-// equal to cost_impl / cost_impl_reference on the expanded rank list.
+// equal to pair-by-pair Eq. 6 over the block-expanded rank list.
 // hot-path: no-alloc
 double CostModel::cost_profile_impl(const ClusterState& state,
                                     std::span<const NodeId> nodes,
@@ -265,8 +196,7 @@ double CostModel::cost_profile_impl(const ClusterState& state,
       static_cast<int>(nodes.size()) * profile.ranks_per_node, profile.nprocs,
       "node count does not match the profile's shape");
   const Tree& tree = *tree_;
-  const std::size_t k =
-      map_leaves(state, nodes, overlay, /*fill_rank_slot=*/false, ws);
+  const std::size_t k = map_leaves(state, nodes, overlay, ws);
   COMMSCHED_ASSERT_EQ_MSG(static_cast<int>(k), profile.num_slots,
                           "allocation leaf structure does not match the "
                           "profile's shape (stale ShapeKey?)");
@@ -289,82 +219,6 @@ double CostModel::cost_profile_impl(const ClusterState& state,
   return total;
 }
 
-double CostModel::cost_impl_reference(const ClusterState& state,
-                                      std::span<const NodeId> nodes,
-                                      const CommSchedule& schedule,
-                                      const LeafOverlay* overlay) const {
-  double total = 0.0;
-  for (const CommStep& step : schedule) {
-    double worst = 0.0;
-    for (const auto& [ri, rj] : step.pairs) {
-      COMMSCHED_ASSERT_MSG(
-          ri >= 0 && rj >= 0 &&
-              static_cast<std::size_t>(ri) < nodes.size() &&
-              static_cast<std::size_t>(rj) < nodes.size(),
-          "schedule rank out of range for this allocation");
-      const double h =
-          effective_hops(state, nodes[static_cast<std::size_t>(ri)],
-                         nodes[static_cast<std::size_t>(rj)], overlay);
-      worst = std::max(worst, h);
-    }
-    double step_cost = worst * static_cast<double>(step.repeat);
-    if (options_.hop_bytes) step_cost *= step.msize;
-    total += step_cost;
-  }
-  return total;
-}
-
-double CostModel::allocation_cost(const ClusterState& state,
-                                  std::span<const NodeId> nodes,
-                                  const CommSchedule& schedule,
-                                  CostWorkspace& workspace) const {
-  return cost_impl(state, nodes, schedule, nullptr, workspace);
-}
-
-double CostModel::allocation_cost(const ClusterState& state,
-                                  std::span<const NodeId> nodes,
-                                  const CommSchedule& schedule) const {
-  return allocation_cost(state, nodes, schedule, tls_workspace());
-}
-
-// hot-path: no-alloc
-double CostModel::candidate_cost(const ClusterState& state,
-                                 std::span<const NodeId> nodes,
-                                 bool comm_intensive,
-                                 const CommSchedule& schedule,
-                                 CostWorkspace& workspace) const {
-  if (!comm_intensive || !options_.include_candidate)
-    return cost_impl(state, nodes, schedule, nullptr, workspace);
-  workspace.overlay_.clear();
-  workspace.overlay_.add_nodes(*tree_, nodes);
-  const double cost =
-      cost_impl(state, nodes, schedule, &workspace.overlay_, workspace);
-  workspace.overlay_.clear();
-  return cost;
-}
-
-// hot-path: no-alloc
-double CostModel::candidate_cost(const ClusterState& state,
-                                 std::span<const NodeId> nodes,
-                                 bool comm_intensive,
-                                 const CommSchedule& schedule) const {
-  return candidate_cost(state, nodes, comm_intensive, schedule,
-                        tls_workspace());
-}
-
-double CostModel::allocation_cost(const ClusterState& state,
-                                  std::span<const NodeId> nodes,
-                                  const LeafCommProfile& profile,
-                                  CostWorkspace& workspace) const {
-  return cost_profile_impl(state, nodes, profile, nullptr, workspace);
-}
-
-double CostModel::allocation_cost(const ClusterState& state,
-                                  std::span<const NodeId> nodes,
-                                  const LeafCommProfile& profile) const {
-  return allocation_cost(state, nodes, profile, tls_workspace());
-}
-
 // hot-path: no-alloc
 double CostModel::candidate_cost(const ClusterState& state,
                                  std::span<const NodeId> nodes,
@@ -373,23 +227,13 @@ double CostModel::candidate_cost(const ClusterState& state,
                                  CostWorkspace& workspace) const {
   if (!comm_intensive || !options_.include_candidate)
     return cost_profile_impl(state, nodes, profile, nullptr, workspace);
-  // The schedule kernels overlay the expanded rank list (one entry per
-  // rank); add ranks_per_node copies per node to match bit-for-bit.
+  // Every rank of the candidate counts toward its leaf's L_comm.
   workspace.overlay_.clear();
   workspace.overlay_.add_nodes(*tree_, nodes, profile.ranks_per_node);
   const double cost =
       cost_profile_impl(state, nodes, profile, &workspace.overlay_, workspace);
   workspace.overlay_.clear();
   return cost;
-}
-
-// hot-path: no-alloc
-double CostModel::candidate_cost(const ClusterState& state,
-                                 std::span<const NodeId> nodes,
-                                 bool comm_intensive,
-                                 const LeafCommProfile& profile) const {
-  return candidate_cost(state, nodes, comm_intensive, profile,
-                        tls_workspace());
 }
 
 namespace {
@@ -788,23 +632,6 @@ int CostModel::delta_slot_nnodes(const CostWorkspace& ws,
   COMMSCHED_ASSERT_MSG(d.active, "no active delta session");
   COMMSCHED_ASSERT(slot >= 0 && slot < d.k);
   return d.slot_nnodes[static_cast<std::size_t>(slot)];
-}
-
-double CostModel::allocation_cost_reference(const ClusterState& state,
-                                            std::span<const NodeId> nodes,
-                                            const CommSchedule& schedule) const {
-  return cost_impl_reference(state, nodes, schedule, nullptr);
-}
-
-double CostModel::candidate_cost_reference(const ClusterState& state,
-                                           std::span<const NodeId> nodes,
-                                           bool comm_intensive,
-                                           const CommSchedule& schedule) const {
-  if (!comm_intensive || !options_.include_candidate)
-    return cost_impl_reference(state, nodes, schedule, nullptr);
-  LeafOverlay overlay(*tree_);
-  overlay.add_nodes(*tree_, nodes);
-  return cost_impl_reference(state, nodes, schedule, &overlay);
 }
 
 }  // namespace commsched

@@ -13,15 +13,13 @@
 // paper's worked Figure 5 example includes the job under consideration), via
 // a per-leaf overlay so the ClusterState itself is never touched.
 //
-// Three evaluation paths, fastest first:
-//   1. LeafCommProfile overloads — the allocation's canonical shape is looked
-//      up in a CommCache and the expensive hop arithmetic runs once per
-//      distinct leaf-pair *class*, independent of the rank count;
-//   2. CommSchedule overloads — the leaf-aggregated fast kernel maps ranks to
-//      leaves per call and memoizes hops per leaf pair (used where
-//      allocations are arbitrary rank permutations, e.g. mapping/reorder);
-//   3. *_reference — pair-by-pair Eq. 6, kept for differential testing.
-// All three agree bit-for-bit on the same inputs.
+// One evaluation path: candidate_cost over a LeafCommProfile — the
+// schedule lowered onto the allocation's canonical shape (CommCache memoizes
+// it per run) — runs the expensive hop arithmetic once per distinct
+// leaf-pair *class*, independent of the rank count. The delta session prices
+// tentative leaf moves against the same profile and agrees with it
+// bit-for-bit. The pair-by-pair Eq. 6 oracle both are tested against lives
+// under tests/support/.
 #pragma once
 
 #include <array>
@@ -31,7 +29,6 @@
 
 #include "cluster/state.hpp"
 #include "collectives/comm_cache.hpp"
-#include "collectives/schedule.hpp"
 #include "topology/tree.hpp"
 
 namespace commsched {
@@ -56,10 +53,9 @@ class LeafOverlay {
   LeafOverlay() = default;
   explicit LeafOverlay(const Tree& tree);
 
-  /// Add the candidate job's nodes, `copies` per node. The schedule kernels
-  /// price expanded rank lists (one entry per rank), so the profile path
-  /// passes copies = ranks_per_node over the distinct node list to overlay
-  /// the exact same per-leaf counts.
+  /// Add the candidate job's nodes, `copies` per node. candidate_cost passes
+  /// copies = ranks_per_node, so every rank of the candidate counts once
+  /// toward its leaf's L_comm.
   void add_nodes(const Tree& tree, std::span<const NodeId> nodes,
                  int copies = 1);
   void clear();
@@ -70,14 +66,6 @@ class LeafOverlay {
   std::vector<int> extra_;
   std::vector<SwitchId> touched_;
 };
-
-/// Expand a whole-node allocation into a rank -> node map with
-/// `ranks_per_node` MPI ranks per node (SLURM block distribution: ranks
-/// 0..rpn-1 on the first node, and so on). Same-node rank pairs then price
-/// at distance 0 in the cost model, matching multi-core reality (the
-/// paper's machines run 4-64 ranks per node; §5.1).
-std::vector<NodeId> expand_ranks_per_node(std::span<const NodeId> nodes,
-                                          int ranks_per_node);
 
 /// One tentative relocation priced by CostModel::cost_delta: every node of
 /// leaf slot `slot` of the current delta session's allocation moves to leaf
@@ -94,10 +82,10 @@ struct SlotMove {
 /// 2 = a leaf swap expressed as two simultaneous moves).
 inline constexpr std::size_t kMaxDeltaMoves = 2;
 
-/// Per-call scratch for CostModel's fast kernels. A CostModel holds no
-/// mutable state; every evaluation writes only into the workspace the caller
-/// passes (or a thread-local default), so one CostModel is safe to share
-/// across threads as long as each thread brings its own CostWorkspace.
+/// Per-call scratch for CostModel's kernels. A CostModel holds no mutable
+/// state; every evaluation writes only into the workspace the caller passes,
+/// so one CostModel is safe to share across threads as long as each thread
+/// brings its own CostWorkspace.
 /// A workspace is reusable across calls, models, and topologies; reuse keeps
 /// the scratch buffers' capacity warm.
 class CostWorkspace {
@@ -113,7 +101,6 @@ class CostWorkspace {
   std::vector<SwitchId> call_leaves_;    // distinct leaves, by slot
   std::vector<double> call_leaf_comm_;   // L_comm (+overlay), by slot
   std::vector<double> call_leaf_nodes_;  // L_nodes, by slot
-  std::vector<std::int32_t> rank_slot_;  // rank -> compact slot
   std::vector<double> pair_hops_;        // slot×slot memo, -1 unset
   std::vector<double> class_worst_;      // per profile step class: max hops
   LeafOverlay overlay_;                  // candidate_cost scratch
@@ -181,15 +168,14 @@ class CostWorkspace {
   DeltaSession delta_;
 };
 
-/// Evaluator bound to one topology. Eq. 6 evaluations run through
-/// leaf-aggregated fast kernels: `effective_hops(i, j)` depends only on
+/// Evaluator bound to one topology. `effective_hops(i, j)` depends only on
 /// (leaf_of(i), leaf_of(j)) and on leaf-level state that is frozen for the
 /// duration of one cost call, so each call maps the allocation to leaf slots
 /// once and memoizes per-leaf-pair hops — O(distinct leaf pairs) expensive
 /// evaluations instead of O(rank pairs). All methods are const and the model
 /// holds no mutable state; scratch lives in an explicit CostWorkspace, so
 /// concurrent calls on ONE instance are safe when each caller passes its own
-/// workspace (the workspace-less overloads use a thread-local one).
+/// workspace.
 class CostModel {
  public:
   explicit CostModel(const Tree& tree, CostOptions options = {});
@@ -206,45 +192,16 @@ class CostModel {
   double effective_hops(const ClusterState& state, NodeId i, NodeId j,
                         const LeafOverlay* overlay = nullptr) const;
 
-  /// Eq. 6 over a committed job's allocation: `nodes[r]` is rank r's node.
-  double allocation_cost(const ClusterState& state,
-                         std::span<const NodeId> nodes,
-                         const CommSchedule& schedule,
-                         CostWorkspace& workspace) const;
-  double allocation_cost(const ClusterState& state,
-                         std::span<const NodeId> nodes,
-                         const CommSchedule& schedule) const;
-
-  /// Eq. 6 for a *candidate* allocation: per options_.include_candidate the
-  /// candidate's nodes are overlaid onto leaf L_comm counts when the job is
-  /// communication-intensive.
-  double candidate_cost(const ClusterState& state,
-                        std::span<const NodeId> nodes, bool comm_intensive,
-                        const CommSchedule& schedule,
-                        CostWorkspace& workspace) const;
-  double candidate_cost(const ClusterState& state,
-                        std::span<const NodeId> nodes, bool comm_intensive,
-                        const CommSchedule& schedule) const;
-
-  /// Profile-based Eq. 6: `nodes` is the *distinct ordered node list* whose
-  /// canonical shape produced `profile` (nodes.size() * ranks_per_node ==
-  /// profile.nprocs; ranks are block-distributed). Bit-for-bit equal to the
-  /// schedule overloads over expand_ranks_per_node(nodes, rpn), at
-  /// O(distinct leaf pairs per class) instead of O(rank pairs).
-  double allocation_cost(const ClusterState& state,
-                         std::span<const NodeId> nodes,
-                         const LeafCommProfile& profile,
-                         CostWorkspace& workspace) const;
-  double allocation_cost(const ClusterState& state,
-                         std::span<const NodeId> nodes,
-                         const LeafCommProfile& profile) const;
+  /// Eq. 6 for a *candidate* allocation. `nodes` is the *distinct ordered
+  /// node list* whose canonical shape produced `profile` (nodes.size() *
+  /// ranks_per_node == profile.nprocs; ranks are block-distributed). When
+  /// the job is communication-intensive and options_.include_candidate is
+  /// set, its ranks are overlaid onto leaf L_comm counts; otherwise the
+  /// committed state alone is priced. O(distinct leaf pairs per class).
   double candidate_cost(const ClusterState& state,
                         std::span<const NodeId> nodes, bool comm_intensive,
                         const LeafCommProfile& profile,
                         CostWorkspace& workspace) const;
-  double candidate_cost(const ClusterState& state,
-                        std::span<const NodeId> nodes, bool comm_intensive,
-                        const LeafCommProfile& profile) const;
 
   // --- Delta-cost evaluation (DESIGN.md "Delta-cost evaluation & search
   // allocators") ------------------------------------------------------------
@@ -286,39 +243,19 @@ class CostModel {
   int delta_slot_nnodes(const CostWorkspace& workspace,
                         std::int32_t slot) const;
 
-  /// Pair-by-pair Eq. 6 evaluation (one effective_hops call per rank pair,
-  /// no memoization). Kept for differential testing of the fast kernels; the
-  /// results must match allocation_cost/candidate_cost bit-for-bit.
-  double allocation_cost_reference(const ClusterState& state,
-                                   std::span<const NodeId> nodes,
-                                   const CommSchedule& schedule) const;
-  double candidate_cost_reference(const ClusterState& state,
-                                  std::span<const NodeId> nodes,
-                                  bool comm_intensive,
-                                  const CommSchedule& schedule) const;
-
  private:
-  double cost_impl(const ClusterState& state, std::span<const NodeId> nodes,
-                   const CommSchedule& schedule, const LeafOverlay* overlay,
-                   CostWorkspace& ws) const;
   double cost_profile_impl(const ClusterState& state,
                            std::span<const NodeId> nodes,
                            const LeafCommProfile& profile,
                            const LeafOverlay* overlay,
                            CostWorkspace& ws) const;
-  double cost_impl_reference(const ClusterState& state,
-                             std::span<const NodeId> nodes,
-                             const CommSchedule& schedule,
-                             const LeafOverlay* overlay) const;
   /// Map the call's distinct leaves to compact slots and freeze the
   /// per-leaf contention inputs in `ws`. Returns the slot count k and
   /// leaves ws.leaf_slot_ populated for the visited leaves (reset via
-  /// release_slots). When `fill_rank_slot`, ws.rank_slot_[r] is the slot of
-  /// nodes[r].
+  /// release_slots).
   std::size_t map_leaves(const ClusterState& state,
                          std::span<const NodeId> nodes,
-                         const LeafOverlay* overlay, bool fill_rank_slot,
-                         CostWorkspace& ws) const;
+                         const LeafOverlay* overlay, CostWorkspace& ws) const;
   void release_slots(CostWorkspace& ws) const;
   /// Memoized Eq. 5 hops between two leaf slots (frozen call state in ws).
   static double slot_hops(const Tree& tree, CostWorkspace& ws, std::size_t sa,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "collectives/comm_cache.hpp"
 #include "util/assert.hpp"
 
 namespace commsched {
@@ -27,18 +28,25 @@ std::vector<NodeId> switch_major_order(const Tree& tree,
 }
 
 std::vector<NodeId> improve_mapping(const ClusterState& state,
-                                    const CostModel& model,
-                                    const CommSchedule& schedule,
+                                    const CostModel& model, Pattern pattern,
+                                    double base_msize,
                                     std::span<const NodeId> nodes,
                                     bool comm_intensive,
                                     const MappingOptions& options) {
   COMMSCHED_ASSERT(options.max_passes >= 0);
-  std::vector<NodeId> best = switch_major_order(state.tree(), nodes);
+  const Tree& tree = state.tree();
+  std::vector<NodeId> best = switch_major_order(tree, nodes);
   if (static_cast<int>(best.size()) > options.max_swap_nodes) return best;
 
-  double best_cost =
-      model.candidate_cost(state, best, comm_intensive, schedule);
-  const Tree& tree = state.tree();
+  CostWorkspace workspace;
+  const auto price = [&](std::span<const NodeId> order) {
+    const LeafCommProfile profile = make_leaf_comm_profile(
+        pattern, base_msize, make_shape_key(tree, order),
+        /*ranks_per_node=*/1);
+    return model.candidate_cost(state, order, comm_intensive, profile,
+                                workspace);
+  };
+  double best_cost = price(best);
   for (int pass = 0; pass < options.max_passes; ++pass) {
     bool improved = false;
     for (std::size_t i = 0; i + 1 < best.size(); ++i) {
@@ -47,8 +55,7 @@ std::vector<NodeId> improve_mapping(const ClusterState& state,
         // or contention term; skip the cost evaluation.
         if (tree.leaf_of(best[i]) == tree.leaf_of(best[j])) continue;
         std::swap(best[i], best[j]);
-        const double cost =
-            model.candidate_cost(state, best, comm_intensive, schedule);
+        const double cost = price(best);
         if (cost < best_cost) {
           best_cost = cost;
           improved = true;

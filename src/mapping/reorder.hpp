@@ -39,12 +39,15 @@ struct MappingOptions {
   int max_swap_nodes = 128;
 };
 
-/// Minimize the Eq. 6 cost of `schedule` over rank orderings of `nodes`.
-/// Starts from switch_major_order, then hill-climbs with pairwise swaps.
-/// Never returns an ordering costlier than switch_major_order.
+/// Minimize the Eq. 6 cost of `pattern` (one rank per node, base message
+/// size `base_msize`) over rank orderings of `nodes`. Starts from
+/// switch_major_order, then hill-climbs with pairwise swaps. Never returns
+/// an ordering costlier than switch_major_order. Each ordering is priced
+/// through its own LeafCommProfile, built uncached: the orderings a search
+/// tries are one-off shapes that would only bloat a run's CommCache.
 std::vector<NodeId> improve_mapping(const ClusterState& state,
-                                    const CostModel& model,
-                                    const CommSchedule& schedule,
+                                    const CostModel& model, Pattern pattern,
+                                    double base_msize,
                                     std::span<const NodeId> nodes,
                                     bool comm_intensive,
                                     const MappingOptions& options = {});

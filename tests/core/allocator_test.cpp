@@ -284,16 +284,19 @@ TEST(AdaptiveAllocatorTest, PicksCheaperCandidateForCommJobs) {
   ASSERT_TRUE(pick.has_value());
 
   const CostModel model(tree);
-  const auto schedule = make_schedule(Pattern::kRecursiveHalvingVD, 8, 1 << 20);
-  const double adaptive_cost =
-      model.candidate_cost(state, *pick, true, schedule);
+  CommCache cache(1 << 20);
+  CostWorkspace ws;
+  const auto cost_of = [&](const std::vector<NodeId>& nodes) {
+    return profiled_candidate_cost(model, cache, state, nodes, true,
+                                   Pattern::kRecursiveHalvingVD, ws);
+  };
+  const double adaptive_cost = cost_of(*pick);
   for (const Allocator* other :
        {static_cast<const Allocator*>(&greedy),
         static_cast<const Allocator*>(&balanced)}) {
     const auto alt = other->select(state, request);
     ASSERT_TRUE(alt.has_value());
-    EXPECT_LE(adaptive_cost,
-              model.candidate_cost(state, *alt, true, schedule) + 1e-9);
+    EXPECT_LE(adaptive_cost, cost_of(*alt) + 1e-9);
   }
   EXPECT_DOUBLE_EQ(adaptive.last_cost(), adaptive_cost);
 }
@@ -309,14 +312,17 @@ TEST(AdaptiveAllocatorTest, PicksPricierCandidateForComputeJobs) {
   const auto pick = adaptive.select(state, request);
   ASSERT_TRUE(pick.has_value());
   const CostModel model(tree);
-  const auto schedule =
-      make_schedule(Pattern::kRecursiveDoubling, 8, 1 << 20);
-  const double picked_cost =
-      model.candidate_cost(state, *pick, false, schedule);
+  CommCache cache(1 << 20);
+  CostWorkspace ws;
+  const auto cost_of = [&](const std::vector<NodeId>& nodes) {
+    return profiled_candidate_cost(model, cache, state, nodes, false,
+                                   Pattern::kRecursiveDoubling, ws);
+  };
+  const double picked_cost = cost_of(*pick);
   const auto g = greedy.select(state, request);
   const auto b = balanced.select(state, request);
-  const double gc = model.candidate_cost(state, *g, false, schedule);
-  const double bc = model.candidate_cost(state, *b, false, schedule);
+  const double gc = cost_of(*g);
+  const double bc = cost_of(*b);
   EXPECT_DOUBLE_EQ(picked_cost, std::max(gc, bc));
 }
 

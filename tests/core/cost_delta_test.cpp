@@ -207,10 +207,10 @@ TEST_F(CostDeltaFixture, BeginMatchesFullForComputeJobsToo) {
   const ShapeKey shape = make_shape_key(tree_, seed);
   const LeafCommProfile profile =
       make_leaf_comm_profile(Pattern::kRing, 512.0, shape, 1);
-  CostWorkspace ws;
+  CostWorkspace ws, full_ws;
   EXPECT_EQ(model.delta_begin(state_, seed, /*comm_intensive=*/false, profile,
                               ws),
-            model.candidate_cost(state_, seed, false, profile));
+            model.candidate_cost(state_, seed, false, profile, full_ws));
 }
 
 TEST_F(CostDeltaFixture, SessionMisuseTripsInvariants) {

@@ -1,20 +1,21 @@
-// Differential test of the leaf-aggregated fast cost kernel against the
-// pair-by-pair reference implementation (cost_impl_reference): randomized
-// trees (varying fan-out and depth, irregular leaf sizes), random background
-// load, random allocations (including multi-rank expansions), all five
-// Pattern schedules, both CostOptions flags, and both the committed
-// (allocation_cost) and candidate/LeafOverlay (candidate_cost) paths. The
-// two kernels perform the same floating-point operations in the same order,
-// so the results must agree bit-for-bit; we assert EXPECT_DOUBLE_EQ (4 ulps)
-// which is stricter than the 1e-12 acceptance bound.
+// Differential test of CostModel's profile kernel against the pair-by-pair
+// Eq. 6 oracle (tests/support/cost_oracle.hpp): randomized trees (varying
+// fan-out and depth, irregular leaf sizes), random communication and quiet
+// background load, shuffled distinct node lists at 1, 2 and 3 ranks per
+// node, all five Pattern schedules, both CostOptions flags and both
+// comm_intensive values. The kernel performs the oracle's floating-point
+// operations once per distinct leaf pair and sums the steps in the oracle's
+// order, so the two must agree bit for bit (EXPECT_EQ on doubles).
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
 #include "cluster/state.hpp"
+#include "collectives/comm_cache.hpp"
 #include "collectives/schedule.hpp"
 #include "core/cost_model.hpp"
+#include "support/cost_oracle.hpp"
 #include "topology/tree.hpp"
 #include "util/rng.hpp"
 
@@ -77,31 +78,23 @@ void random_occupy(ClusterState& state, Rng& rng) {
   if (!quiet_nodes.empty()) state.allocate(job++, /*comm=*/false, quiet_nodes);
 }
 
-// Random rank -> node map over the whole machine (any nodes, free or busy:
-// the cost arithmetic does not depend on availability). Multi-rank variants
-// repeat nodes, exercising the same-node zero-hop short-circuit.
-std::vector<NodeId> random_allocation(const Tree& tree, Rng& rng, int nranks,
-                                      bool multirank) {
-  const auto picks = rng.sample_without_replacement(
-      static_cast<std::size_t>(tree.node_count()),
-      std::min<std::size_t>(static_cast<std::size_t>(nranks),
-                            static_cast<std::size_t>(tree.node_count())));
+constexpr int kRanksPerNode[] = {1, 2, 3};
+
+// Shuffled distinct nodes anywhere on the machine (free or busy: the cost
+// arithmetic does not depend on availability).
+std::vector<NodeId> random_nodes(const Tree& tree, Rng& rng) {
+  const auto count = static_cast<std::size_t>(
+      rng.uniform_int(1, static_cast<std::int64_t>(tree.node_count())));
   std::vector<NodeId> nodes;
-  for (const std::size_t p : picks) nodes.push_back(static_cast<NodeId>(p));
-  if (multirank) {
-    const int rpn = 2;
-    nodes = expand_ranks_per_node(nodes, rpn);
-    nodes.resize(static_cast<std::size_t>(nranks), nodes.front());
-  } else {
-    while (static_cast<int>(nodes.size()) < nranks)
-      nodes.push_back(nodes.back());  // saturate tiny machines with repeats
-  }
-  nodes.resize(static_cast<std::size_t>(nranks));
+  for (const std::size_t p : rng.sample_without_replacement(
+           static_cast<std::size_t>(tree.node_count()), count))
+    nodes.push_back(static_cast<NodeId>(p));
   rng.shuffle(nodes);
   return nodes;
 }
 
 TEST(CostModelDiffTest, FastKernelMatchesReferenceEverywhere) {
+  CostWorkspace ws;
   for (std::uint64_t seed = 0; seed < 40; ++seed) {
     Rng rng(0xC05'7D1FF + seed);
     const Tree tree = random_tree(rng);
@@ -115,29 +108,29 @@ TEST(CostModelDiffTest, FastKernelMatchesReferenceEverywhere) {
                                         .include_candidate = include_candidate,
                                     });
         for (const Pattern pattern : kAllPatterns) {
-          const int nranks = static_cast<int>(
-              rng.uniform_int(2, 2 * tree.node_count()));
-          const bool multirank = rng.bernoulli(0.3);
-          const auto nodes = random_allocation(tree, rng, nranks, multirank);
-          const auto schedule =
-              make_schedule(pattern, nranks, rng.uniform_real(1.0, 4096.0));
+          for (const int rpn : kRanksPerNode) {
+            const auto nodes = random_nodes(tree, rng);
+            const double msize = rng.uniform_real(1.0, 4096.0);
+            const int nprocs = static_cast<int>(nodes.size()) * rpn;
+            const auto schedule = make_schedule(pattern, nprocs, msize);
+            const LeafCommProfile profile = make_leaf_comm_profile(
+                pattern, msize, make_shape_key(tree, nodes), rpn);
 
-          SCOPED_TRACE("seed=" + std::to_string(seed) + " pattern=" +
-                       pattern_name(pattern) + " nranks=" +
-                       std::to_string(nranks) +
-                       " hop_bytes=" + std::to_string(hop_bytes) +
-                       " include_candidate=" +
-                       std::to_string(include_candidate) +
-                       " multirank=" + std::to_string(multirank));
+            SCOPED_TRACE("seed=" + std::to_string(seed) + " pattern=" +
+                         pattern_name(pattern) + " nodes=" +
+                         std::to_string(nodes.size()) +
+                         " rpn=" + std::to_string(rpn) +
+                         " hop_bytes=" + std::to_string(hop_bytes) +
+                         " include_candidate=" +
+                         std::to_string(include_candidate));
 
-          EXPECT_DOUBLE_EQ(
-              model.allocation_cost(state, nodes, schedule),
-              model.allocation_cost_reference(state, nodes, schedule));
-          for (const bool comm_intensive : {false, true}) {
-            EXPECT_DOUBLE_EQ(model.candidate_cost(state, nodes,
-                                                  comm_intensive, schedule),
-                             model.candidate_cost_reference(
-                                 state, nodes, comm_intensive, schedule));
+            for (const bool comm_intensive : {false, true}) {
+              EXPECT_EQ(model.candidate_cost(state, nodes, comm_intensive,
+                                             profile, ws),
+                        oracle_candidate_cost(model, state, nodes, rpn,
+                                              comm_intensive, schedule))
+                  << "comm_intensive=" << comm_intensive;
+            }
           }
         }
       }
@@ -145,9 +138,10 @@ TEST(CostModelDiffTest, FastKernelMatchesReferenceEverywhere) {
   }
 }
 
-// The kernel's scratch buffers are member state reused across calls; verify
-// interleaving calls with different allocations, schedules and overlay modes
-// on ONE model instance never contaminates a later result.
+// The kernel's scratch lives in the caller's CostWorkspace and is reused
+// across calls; verify that interleaving calls with different profiles,
+// rank counts and overlay modes on ONE workspace never contaminates a later
+// result.
 TEST(CostModelDiffTest, ScratchReuseAcrossInterleavedCalls) {
   Rng rng(2026'08'06);
   const Tree tree = random_tree(rng);
@@ -157,31 +151,34 @@ TEST(CostModelDiffTest, ScratchReuseAcrossInterleavedCalls) {
 
   struct Query {
     std::vector<NodeId> nodes;
-    CommSchedule schedule;
+    LeafCommProfile profile;
     bool comm_intensive = false;
     double expected = 0.0;
   };
   std::vector<Query> queries;
   for (int q = 0; q < 24; ++q) {
     Query query;
-    const int nranks = static_cast<int>(rng.uniform_int(2, tree.node_count()));
-    query.nodes = random_allocation(tree, rng, nranks, rng.bernoulli(0.5));
-    query.schedule = make_schedule(
-        kAllPatterns[static_cast<std::size_t>(q) % std::size(kAllPatterns)],
-        nranks, 64.0);
+    query.nodes = random_nodes(tree, rng);
+    const Pattern pattern =
+        kAllPatterns[static_cast<std::size_t>(q) % std::size(kAllPatterns)];
+    const int rpn =
+        kRanksPerNode[static_cast<std::size_t>(q) % std::size(kRanksPerNode)];
+    query.profile = make_leaf_comm_profile(
+        pattern, 64.0, make_shape_key(tree, query.nodes), rpn);
     query.comm_intensive = rng.bernoulli(0.5);
-    query.expected = model.candidate_cost_reference(
-        state, query.nodes, query.comm_intensive, query.schedule);
+    query.expected = oracle_candidate_cost(
+        model, state, query.nodes, rpn, query.comm_intensive,
+        make_schedule(pattern, query.profile.nprocs, 64.0));
     queries.push_back(std::move(query));
   }
-  // Two interleaved passes: every call must reproduce its reference value
+  // Two interleaved passes: every call must reproduce its oracle value
   // regardless of what the previous call left in the scratch.
+  CostWorkspace ws;
   for (int pass = 0; pass < 2; ++pass) {
     for (const Query& query : queries) {
-      EXPECT_DOUBLE_EQ(model.candidate_cost(state, query.nodes,
-                                            query.comm_intensive,
-                                            query.schedule),
-                       query.expected);
+      EXPECT_EQ(model.candidate_cost(state, query.nodes, query.comm_intensive,
+                                     query.profile, ws),
+                query.expected);
     }
   }
 }

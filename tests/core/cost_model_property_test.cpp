@@ -6,7 +6,7 @@
 //   3. self-inclusion dominance: pricing a comm candidate with its own
 //      nodes counted is never cheaper than without;
 //   4. additivity: the cost of a concatenated schedule is the sum of its
-//      parts;
+//      parts (a profile whose steps run twice costs twice as much);
 //   5. hop-bytes consistency: with unit message sizes the weighted and
 //      unweighted variants agree.
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "cluster/state.hpp"
+#include "collectives/comm_cache.hpp"
 #include "core/allocator_factory.hpp"
 #include "core/cost_model.hpp"
 #include "topology/builders.hpp"
@@ -64,11 +65,13 @@ TEST_P(CostPropertySweep, Invariants) {
   const auto nodes = allocator->select(state, request);
   ASSERT_TRUE(nodes.has_value());
 
-  const auto schedule = make_schedule(param.pattern, param.job_nodes, 1.0);
+  const LeafCommProfile profile = make_leaf_comm_profile(
+      param.pattern, 1.0, make_shape_key(tree, *nodes), 1);
   const CostModel model(tree);
+  CostWorkspace ws;
 
   // (1) non-negativity / zero cases.
-  const double cost = model.candidate_cost(state, *nodes, true, schedule);
+  const double cost = model.candidate_cost(state, *nodes, true, profile, ws);
   if (param.job_nodes >= 2) {
     EXPECT_GT(cost, 0.0);
   } else {
@@ -78,33 +81,36 @@ TEST_P(CostPropertySweep, Invariants) {
   // (3) self-inclusion dominance.
   const CostModel no_self(tree, CostOptions{.include_candidate = false});
   EXPECT_GE(cost + 1e-12,
-            no_self.candidate_cost(state, *nodes, true, schedule));
+            no_self.candidate_cost(state, *nodes, true, profile, ws));
 
   // (2) background-load monotonicity.
   const double before = cost;
   occupy(state, 0.3, param.seed + 1, /*comm=*/true);
-  const double after = model.candidate_cost(state, *nodes, true, schedule);
+  const double after = model.candidate_cost(state, *nodes, true, profile, ws);
   EXPECT_GE(after + 1e-12, before);
 
-  // (4) additivity over schedule concatenation.
-  CommSchedule doubled = schedule;
-  doubled.insert(doubled.end(), schedule.begin(), schedule.end());
-  EXPECT_NEAR(model.candidate_cost(state, *nodes, true, doubled), 2.0 * after,
-              1e-9 * (1.0 + after));
+  // (4) additivity: the profile's steps run twice.
+  LeafCommProfile doubled = profile;
+  doubled.steps.insert(doubled.steps.end(), profile.steps.begin(),
+                       profile.steps.end());
+  EXPECT_NEAR(model.candidate_cost(state, *nodes, true, doubled, ws),
+              2.0 * after, 1e-9 * (1.0 + after));
 
   // (5) hop-bytes equals hops at unit message sizes.
   const CostModel weighted(tree, CostOptions{.hop_bytes = true});
-  EXPECT_NEAR(weighted.candidate_cost(state, *nodes, true, schedule),
+  EXPECT_NEAR(weighted.candidate_cost(state, *nodes, true, profile, ws),
               [&] {
-                double expected = 0.0;
-                CommSchedule unit = schedule;
                 // msize is 1.0 already (constructed with base 1.0) for RD,
                 // binomial, ring; RHVD doubles per step, so compare against
-                // an explicit per-step weighting instead.
-                for (std::size_t s = 0; s < unit.size(); ++s) {
-                  CommSchedule one{unit[s]};
-                  expected += model.candidate_cost(state, *nodes, true, one) *
-                              unit[s].msize;
+                // an explicit per-step weighting of one-step profiles that
+                // share the classes.
+                double expected = 0.0;
+                for (const ProfileStep& step : profile.steps) {
+                  LeafCommProfile one = profile;
+                  one.steps = {step};
+                  expected +=
+                      model.candidate_cost(state, *nodes, true, one, ws) *
+                      step.msize;
                 }
                 return expected;
               }(),

@@ -4,12 +4,25 @@
 
 #include <vector>
 
+#include "collectives/comm_cache.hpp"
 #include "collectives/schedule.hpp"
+#include "core/allocator_common.hpp"
 #include "topology/builders.hpp"
 #include "util/assert.hpp"
 
 namespace commsched {
 namespace {
+
+// Eq. 6 of `pattern` on `nodes` (one rank per node) through the profile
+// kernel; comm_intensive = false prices the committed state alone.
+double eq6(const CostModel& model, const ClusterState& state,
+           const std::vector<NodeId>& nodes, bool comm_intensive,
+           Pattern pattern, double msize = 1.0) {
+  CommCache cache(msize);
+  CostWorkspace workspace;
+  return profiled_candidate_cost(model, cache, state, nodes, comm_intensive,
+                                 pattern, workspace);
+}
 
 // The paper's Figure 5 scenario: Job1 (comm) on n0,n1,n4,n5; Job2 (comm) on
 // n2,n3; n6,n7 free — on the Figure 2 fat-tree.
@@ -53,20 +66,20 @@ TEST_F(Figure5Fixture, AllocationCostSumsPerStepMaxima) {
   // Job1's 4 nodes (n0,n1,n4,n5) with RD over 4 ranks: step 0 pairs
   // (0,1),(2,3) -> nodes (n0,n1),(n4,n5); step 1 pairs (0,2),(1,3) ->
   // (n0,n4),(n1,n5).
-  const auto schedule = make_schedule(Pattern::kRecursiveDoubling, 4, 1.0);
   const std::vector<NodeId> nodes{0, 1, 4, 5};
   // Step 0 max: Hops(n0,n1) = 4 vs Hops(n4,n5) = 2*(1+2/4) = 3 -> 4.
   // Step 1: both pairs cross leaves -> Hops = 11.5.
-  const double cost = model_.allocation_cost(state_, nodes, schedule);
+  const double cost =
+      eq6(model_, state_, nodes, false, Pattern::kRecursiveDoubling);
   EXPECT_DOUBLE_EQ(cost, 4.0 + 11.5);
 }
 
 TEST_F(Figure5Fixture, HopBytesVariantWeightsByMessageSize) {
   CostModel hb(tree_, CostOptions{.hop_bytes = true});
-  const auto schedule = make_schedule(Pattern::kRecursiveDoubling, 4, 3.0);
   const std::vector<NodeId> nodes{0, 1, 4, 5};
-  EXPECT_DOUBLE_EQ(hb.allocation_cost(state_, nodes, schedule),
-                   (4.0 + 11.5) * 3.0);
+  EXPECT_DOUBLE_EQ(
+      eq6(hb, state_, nodes, false, Pattern::kRecursiveDoubling, 3.0),
+      (4.0 + 11.5) * 3.0);
 }
 
 TEST(CostModelTest, CandidateOverlayCountsTheJobItself) {
@@ -75,30 +88,31 @@ TEST(CostModelTest, CandidateOverlayCountsTheJobItself) {
   const Tree tree = make_figure2_tree();
   const ClusterState state(tree);
   const CostModel model(tree);
-  const auto schedule = make_schedule(Pattern::kRecursiveDoubling, 2, 1.0);
   const std::vector<NodeId> nodes{0, 1};
   // With overlay: C = 2/4 = 0.5 -> hops = 2*1.5 = 3.
-  EXPECT_DOUBLE_EQ(model.candidate_cost(state, nodes, true, schedule), 3.0);
+  EXPECT_DOUBLE_EQ(
+      eq6(model, state, nodes, true, Pattern::kRecursiveDoubling), 3.0);
   // Committed-state pricing of the same pair on the empty cluster: C = 0.
-  EXPECT_DOUBLE_EQ(model.allocation_cost(state, nodes, schedule), 2.0);
+  EXPECT_DOUBLE_EQ(
+      eq6(model, state, nodes, false, Pattern::kRecursiveDoubling), 2.0);
 }
 
 TEST(CostModelTest, ComputeCandidateAddsNoContention) {
   const Tree tree = make_figure2_tree();
   const ClusterState state(tree);
   const CostModel model(tree);
-  const auto schedule = make_schedule(Pattern::kRecursiveDoubling, 2, 1.0);
   const std::vector<NodeId> nodes{0, 1};
-  EXPECT_DOUBLE_EQ(model.candidate_cost(state, nodes, false, schedule), 2.0);
+  EXPECT_DOUBLE_EQ(
+      eq6(model, state, nodes, false, Pattern::kRecursiveDoubling), 2.0);
 }
 
 TEST(CostModelTest, IncludeCandidateOptionCanBeDisabled) {
   const Tree tree = make_figure2_tree();
   const ClusterState state(tree);
   const CostModel model(tree, CostOptions{.include_candidate = false});
-  const auto schedule = make_schedule(Pattern::kRecursiveDoubling, 2, 1.0);
   const std::vector<NodeId> nodes{0, 1};
-  EXPECT_DOUBLE_EQ(model.candidate_cost(state, nodes, true, schedule), 2.0);
+  EXPECT_DOUBLE_EQ(
+      eq6(model, state, nodes, true, Pattern::kRecursiveDoubling), 2.0);
 }
 
 TEST(CostModelTest, MoreNeighborCommJobsRaiseContention) {
@@ -126,11 +140,12 @@ TEST(CostModelTest, RepeatedStepsScaleCost) {
   const Tree tree = make_figure2_tree();
   const ClusterState state(tree);
   const CostModel model(tree);
-  const auto ring = make_schedule(Pattern::kRing, 4, 1.0);  // repeat = 3
+  // A 4-rank ring is one step repeated 3 times.
   const std::vector<NodeId> nodes{0, 1, 2, 3};
   const double one_round =
       model.effective_hops(state, 0, 1);  // all pairs same leaf, C = 0 -> 2
-  EXPECT_DOUBLE_EQ(model.allocation_cost(state, nodes, ring), 3 * one_round);
+  EXPECT_DOUBLE_EQ(eq6(model, state, nodes, false, Pattern::kRing),
+                   3 * one_round);
 }
 
 TEST(CostModelTest, ThreeLevelDistancesEnterCost) {
@@ -143,13 +158,33 @@ TEST(CostModelTest, ThreeLevelDistancesEnterCost) {
   EXPECT_DOUBLE_EQ(model.effective_hops(state, 0, 12), 6.0);
 }
 
-TEST(CostModelTest, ScheduleRankOutOfRangeThrows) {
+TEST(CostModelTest, ProfileShapeMismatchThrows) {
   const Tree tree = make_figure2_tree();
   const ClusterState state(tree);
   const CostModel model(tree);
-  const auto schedule = make_schedule(Pattern::kRecursiveDoubling, 4, 1.0);
-  const std::vector<NodeId> nodes{0, 1};  // too few nodes for 4 ranks
-  EXPECT_THROW(model.allocation_cost(state, nodes, schedule), InvariantError);
+  const std::vector<NodeId> shape_nodes{0, 1};  // two nodes under s0
+  const LeafCommProfile profile =
+      make_leaf_comm_profile(Pattern::kRecursiveDoubling, 1.0,
+                             make_shape_key(tree, shape_nodes), 1);
+  // Three nodes for the profile's two ranks: the nprocs guard.
+  const std::vector<NodeId> too_many{0, 1, 2};
+  // Two nodes, but under two leaves: the num_slots guard.
+  const std::vector<NodeId> two_leaves{0, 4};
+  for (const bool comm : {false, true}) {
+    for (const auto& nodes : {too_many, two_leaves}) {
+      // A fresh workspace per call: the kernel does not restore its
+      // scratch when a guard throws.
+      CostWorkspace ws;
+      EXPECT_THROW(model.candidate_cost(state, nodes, comm, profile, ws),
+                   InvariantError);
+      CostWorkspace delta_ws;
+      EXPECT_THROW(model.delta_begin(state, nodes, comm, profile, delta_ws),
+                   InvariantError);
+    }
+  }
+  CostWorkspace ws;
+  EXPECT_DOUBLE_EQ(model.candidate_cost(state, shape_nodes, false, profile, ws),
+                   2.0);
 }
 
 TEST(LeafOverlayTest, AddAndClear) {

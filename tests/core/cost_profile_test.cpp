@@ -1,9 +1,9 @@
 // Differential tests for the LeafCommProfile cost path (DESIGN.md "Shape
 // canonicalization & CommCache"): profile-based Eq. 6 evaluation must agree
-// BIT-FOR-BIT (EXPECT_EQ on doubles, not near) with both the leaf-aggregated
-// schedule kernel and the pair-by-pair reference, across every pattern,
-// power-of-two and ragged sizes, contiguous/fragmented/multi-leaf shapes,
-// and multi-rank expansion.
+// BIT-FOR-BIT (EXPECT_EQ on doubles, not near) with the pair-by-pair oracle
+// (tests/support/cost_oracle.hpp), across every pattern, power-of-two and
+// ragged sizes, contiguous/fragmented/multi-leaf shapes, and multi-rank
+// expansion.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +15,7 @@
 #include "collectives/comm_cache.hpp"
 #include "collectives/schedule.hpp"
 #include "core/cost_model.hpp"
+#include "support/cost_oracle.hpp"
 #include "topology/builders.hpp"
 
 namespace commsched {
@@ -67,27 +68,23 @@ TEST_F(ProfileDiffFixture, ProfileMatchesReferenceAndFastKernelBitForBit) {
             const double msize = 1024.0;
             const int nprocs = n * rpn;
             const auto schedule = make_schedule(pattern, nprocs, msize);
-            const auto expanded = expand_ranks_per_node(nodes, rpn);
             const LeafCommProfile profile = make_leaf_comm_profile(
                 pattern, msize, make_shape_key(tree_, nodes), rpn);
+            CostWorkspace ws;
 
-            // Committed-allocation pricing: profile vs fast kernel vs
-            // pair-by-pair reference.
+            // Committed-allocation pricing: profile vs pair-by-pair oracle.
             const double via_profile =
-                model.allocation_cost(state_, nodes, profile);
-            EXPECT_EQ(via_profile, model.allocation_cost_reference(
-                                       state_, expanded, schedule))
-                << label;
-            EXPECT_EQ(via_profile,
-                      model.allocation_cost(state_, expanded, schedule))
+                model.candidate_cost(state_, nodes, false, profile, ws);
+            EXPECT_EQ(via_profile, oracle_candidate_cost(model, state_, nodes,
+                                                         rpn, false, schedule))
                 << label;
 
             // Candidate pricing, with and without the self-overlay.
             for (const bool comm : {true, false}) {
               EXPECT_EQ(
-                  model.candidate_cost(state_, nodes, comm, profile),
-                  model.candidate_cost_reference(state_, expanded, comm,
-                                                 schedule))
+                  model.candidate_cost(state_, nodes, comm, profile, ws),
+                  oracle_candidate_cost(model, state_, nodes, rpn, comm,
+                                        schedule))
                   << label << "/comm=" << comm;
             }
           }
@@ -103,18 +100,19 @@ TEST_F(ProfileDiffFixture, CachedProfileStaysCorrectAsStateMutates) {
   const auto& schedule = cache.schedule(Pattern::kPairwiseAlltoall, 4);
   const LeafCommProfile& profile = cache.profile(
       Pattern::kPairwiseAlltoall, 1, make_shape_key(tree_, nodes));
+  CostWorkspace ws;
+  const auto oracle = [&] {
+    return oracle_candidate_cost(model, state_, nodes, 1, true, schedule);
+  };
 
-  EXPECT_EQ(model.candidate_cost(state_, nodes, true, profile),
-            model.candidate_cost_reference(state_, nodes, true, schedule));
+  EXPECT_EQ(model.candidate_cost(state_, nodes, true, profile, ws), oracle());
 
   state_.allocate(200, /*comm=*/true, std::vector<NodeId>{10, 11});
-  const double loaded = model.candidate_cost(state_, nodes, true, profile);
-  EXPECT_EQ(loaded,
-            model.candidate_cost_reference(state_, nodes, true, schedule));
+  const double loaded = model.candidate_cost(state_, nodes, true, profile, ws);
+  EXPECT_EQ(loaded, oracle());
 
   state_.release(200);
-  EXPECT_EQ(model.candidate_cost(state_, nodes, true, profile),
-            model.candidate_cost_reference(state_, nodes, true, schedule));
+  EXPECT_EQ(model.candidate_cost(state_, nodes, true, profile, ws), oracle());
   EXPECT_EQ(cache.stats().profile_misses, 1u);  // one entry served all three
   EXPECT_GT(loaded, 0.0);
 }
@@ -128,7 +126,9 @@ TEST_F(ProfileDiffFixture, OneModelManyThreadsWithPrivateWorkspaces) {
   CommCache cache(256.0);
   const LeafCommProfile& profile = cache.profile(
       Pattern::kPairwiseAlltoall, 4, make_shape_key(tree_, nodes));
-  const double expected = model.candidate_cost(state_, nodes, true, profile);
+  CostWorkspace main_ws;
+  const double expected =
+      model.candidate_cost(state_, nodes, true, profile, main_ws);
   ASSERT_GT(expected, 0.0);
 
   constexpr int kThreads = 4, kIters = 200;
@@ -166,10 +166,10 @@ TEST(CostProfileLargeTest, FourThousandRankAlltoallMatchesStreamedReference) {
   const LeafCommProfile profile = make_leaf_comm_profile(
       Pattern::kPairwiseAlltoall, msize, make_shape_key(tree, nodes), rpn);
   EXPECT_EQ(profile.nprocs, 4096);
-  const double via_profile =
-      model.candidate_cost(state, nodes, /*comm_intensive=*/true, profile);
+  CostWorkspace ws;
+  const double via_profile = model.candidate_cost(
+      state, nodes, /*comm_intensive=*/true, profile, ws);
 
-  const auto expanded = expand_ranks_per_node(nodes, rpn);
   LeafOverlay overlay(tree);
   overlay.add_nodes(tree, nodes, rpn);
   double streamed = 0.0;
@@ -178,9 +178,9 @@ TEST(CostProfileLargeTest, FourThousandRankAlltoallMatchesStreamedReference) {
       [&](const CommStep& step) {
         double worst = 0.0;
         for (const auto& [ri, rj] : step.pairs)
-          worst = std::max(worst, model.effective_hops(state, expanded[ri],
-                                                       expanded[rj],
-                                                       &overlay));
+          worst = std::max(worst,
+                           model.effective_hops(state, nodes[ri / rpn],
+                                                nodes[rj / rpn], &overlay));
         streamed += worst * step.repeat * step.msize;
         return true;
       });

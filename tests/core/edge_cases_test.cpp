@@ -5,6 +5,7 @@
 
 #include <vector>
 
+#include "collectives/comm_cache.hpp"
 #include "core/allocator_common.hpp"
 #include "core/allocator_factory.hpp"
 #include "core/cost_model.hpp"
@@ -84,12 +85,13 @@ TEST(CostModelEdgeTest, SingleRankScheduleCostsNothing) {
   const Tree tree = make_figure2_tree();
   const ClusterState state(tree);
   const CostModel model(tree);
+  CommCache cache(1.0);
+  CostWorkspace ws;
   const std::vector<NodeId> one{3};
   for (const Pattern p :
        {Pattern::kRecursiveDoubling, Pattern::kRing, Pattern::kBinomial})
     EXPECT_DOUBLE_EQ(
-        model.candidate_cost(state, one, true, make_schedule(p, 1, 1.0)),
-        0.0);
+        profiled_candidate_cost(model, cache, state, one, true, p, ws), 0.0);
 }
 
 TEST(CostModelEdgeTest, EmptyScheduleCostsNothing) {
@@ -97,8 +99,14 @@ TEST(CostModelEdgeTest, EmptyScheduleCostsNothing) {
   const ClusterState state(tree);
   const CostModel model(tree);
   const std::vector<NodeId> nodes{0, 1};
-  EXPECT_DOUBLE_EQ(model.candidate_cost(state, nodes, true, CommSchedule{}),
-                   0.0);
+  // The shape of a 2-rank job, with no communication steps.
+  LeafCommProfile profile =
+      make_leaf_comm_profile(Pattern::kRecursiveDoubling, 1.0,
+                             make_shape_key(tree, nodes), 1);
+  profile.classes.clear();
+  profile.steps.clear();
+  CostWorkspace ws;
+  EXPECT_DOUBLE_EQ(model.candidate_cost(state, nodes, true, profile, ws), 0.0);
 }
 
 }  // namespace

@@ -6,8 +6,11 @@
 #include <set>
 #include <vector>
 
+#include "collectives/comm_cache.hpp"
 #include "core/adaptive_allocator.hpp"
+#include "core/allocator_common.hpp"
 #include "core/allocator_factory.hpp"
+#include "core/cost_model.hpp"
 #include "topology/builders.hpp"
 
 namespace commsched {
@@ -103,9 +106,11 @@ TEST(IoAwareAllocatorTest, PureCommJobMatchesAdaptiveChoiceCost) {
   // Same candidate pool minus the spread (which a comm job won't prefer):
   // both must land on a placement with the same comm cost.
   const CostModel model(tree, CostOptions{.hop_bytes = true});
-  const auto sched = make_schedule(req.pattern, req.num_nodes, req.msize);
-  EXPECT_DOUBLE_EQ(model.candidate_cost(state, *a, true, sched),
-                   model.candidate_cost(state, *b, true, sched));
+  CommCache cache(req.msize);
+  CostWorkspace ws;
+  EXPECT_DOUBLE_EQ(
+      profiled_candidate_cost(model, cache, state, *a, true, req.pattern, ws),
+      profiled_candidate_cost(model, cache, state, *b, true, req.pattern, ws));
 }
 
 TEST(IoAwareAllocatorTest, MixedJobTradesOffBothTerms) {

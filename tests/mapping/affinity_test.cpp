@@ -5,8 +5,11 @@
 #include <set>
 
 #include "cluster/state.hpp"
+#include "collectives/comm_cache.hpp"
+#include "core/allocator_common.hpp"
 #include "core/cost_model.hpp"
 #include "mapping/reorder.hpp"
+#include "support/cost_oracle.hpp"
 #include "topology/builders.hpp"
 #include "util/assert.hpp"
 
@@ -80,8 +83,10 @@ TEST(AffinityMapTest, BeatsSwitchMajorOnFarHeavySchedules) {
   const auto sched = far_heavy_schedule(8);
   const auto major = switch_major_order(tree, nodes);
   const auto mapped = affinity_map(tree, nodes, sched);
-  EXPECT_LT(model.candidate_cost(state, mapped, true, sched),
-            model.candidate_cost(state, major, true, sched));
+  // A hand-built schedule has no Pattern to profile: price it with the
+  // pair-by-pair oracle.
+  EXPECT_LT(oracle_candidate_cost(model, state, mapped, 1, true, sched),
+            oracle_candidate_cost(model, state, major, 1, true, sched));
 }
 
 TEST(AffinityMapTest, IsAPermutationHostingEveryRank) {
@@ -108,8 +113,13 @@ TEST(AffinityMapTest, NeverWorseThanSwitchMajorForRhvd) {
   const auto sched = make_schedule(Pattern::kRecursiveHalvingVD, 8, 1.0);
   const auto major = switch_major_order(tree, nodes);
   const auto mapped = affinity_map(tree, nodes, sched);
-  EXPECT_LE(model.candidate_cost(state, mapped, true, sched),
-            model.candidate_cost(state, major, true, sched) + 1e-9);
+  CommCache cache(1.0);
+  CostWorkspace ws;
+  const auto cost_of = [&](const std::vector<NodeId>& order) {
+    return profiled_candidate_cost(model, cache, state, order, true,
+                                   Pattern::kRecursiveHalvingVD, ws);
+  };
+  EXPECT_LE(cost_of(mapped), cost_of(major) + 1e-9);
 }
 
 TEST(AffinityMapTest, SingleLeafIsTrivial) {

@@ -6,6 +6,8 @@
 #include <set>
 #include <vector>
 
+#include "collectives/comm_cache.hpp"
+#include "core/allocator_common.hpp"
 #include "topology/builders.hpp"
 
 namespace commsched {
@@ -42,20 +44,30 @@ class MappingFixture : public ::testing::Test {
  protected:
   MappingFixture()
       : tree_(make_two_level_tree(2, 8)), state_(tree_), model_(tree_) {}
+
+  // Eq. 6 of `pattern` (base message size 1) on the rank order `nodes`.
+  double cost(const CostModel& model, const std::vector<NodeId>& nodes,
+              Pattern pattern) {
+    return profiled_candidate_cost(model, cache_, state_, nodes, true,
+                                   pattern, workspace_);
+  }
+
   Tree tree_;
   ClusterState state_;
   CostModel model_;
+  CommCache cache_{1.0};
+  CostWorkspace workspace_;
 };
 
 TEST_F(MappingFixture, ImproveMappingNeverWorseThanSwitchMajor) {
-  const auto schedule = make_schedule(Pattern::kRecursiveHalvingVD, 8, 1.0);
+  const Pattern pattern = Pattern::kRecursiveHalvingVD;
   // A deliberately bad interleaving across the two leaves.
   const std::vector<NodeId> nodes{0, 8, 1, 9, 2, 10, 3, 11};
   const auto base = switch_major_order(tree_, nodes);
   const auto improved =
-      improve_mapping(state_, model_, schedule, nodes, true);
-  EXPECT_LE(model_.candidate_cost(state_, improved, true, schedule),
-            model_.candidate_cost(state_, base, true, schedule) + 1e-9);
+      improve_mapping(state_, model_, pattern, 1.0, nodes, true);
+  EXPECT_LE(cost(model_, improved, pattern),
+            cost(model_, base, pattern) + 1e-9);
 }
 
 TEST_F(MappingFixture, ImproveMappingBeatsInterleavedOrder) {
@@ -65,22 +77,19 @@ TEST_F(MappingFixture, ImproveMappingBeatsInterleavedOrder) {
   // than crossing on the heavy last step, so the interleaved order (which
   // crosses at the end) must improve.
   const CostModel hop_bytes_model(tree_, CostOptions{.hop_bytes = true});
-  const auto schedule = make_schedule(Pattern::kRecursiveHalvingVD, 8, 1.0);
+  const Pattern pattern = Pattern::kRecursiveHalvingVD;
   const std::vector<NodeId> interleaved{0, 8, 1, 9, 2, 10, 3, 11};
-  const double before =
-      hop_bytes_model.candidate_cost(state_, interleaved, true, schedule);
-  const auto improved = improve_mapping(state_, hop_bytes_model, schedule,
-                                        interleaved, true);
-  const double after =
-      hop_bytes_model.candidate_cost(state_, improved, true, schedule);
+  const double before = cost(hop_bytes_model, interleaved, pattern);
+  const auto improved = improve_mapping(state_, hop_bytes_model, pattern,
+                                        1.0, interleaved, true);
+  const double after = cost(hop_bytes_model, improved, pattern);
   EXPECT_LT(after, before);
 }
 
 TEST_F(MappingFixture, ImproveMappingIsAPermutation) {
-  const auto schedule = make_schedule(Pattern::kRecursiveDoubling, 8, 1.0);
   const std::vector<NodeId> nodes{0, 8, 1, 9, 2, 10, 3, 11};
-  const auto improved =
-      improve_mapping(state_, model_, schedule, nodes, true);
+  const auto improved = improve_mapping(
+      state_, model_, Pattern::kRecursiveDoubling, 1.0, nodes, true);
   std::set<NodeId> a(nodes.begin(), nodes.end());
   std::set<NodeId> b(improved.begin(), improved.end());
   EXPECT_EQ(a, b);
@@ -88,20 +97,18 @@ TEST_F(MappingFixture, ImproveMappingIsAPermutation) {
 
 TEST_F(MappingFixture, LargeJobsSkipTheSwapScan) {
   // With max_swap_nodes = 4, an 8-rank job falls back to switch-major.
-  const auto schedule = make_schedule(Pattern::kRecursiveDoubling, 8, 1.0);
   const std::vector<NodeId> nodes{0, 8, 1, 9, 2, 10, 3, 11};
   MappingOptions opts;
   opts.max_swap_nodes = 4;
-  const auto mapped =
-      improve_mapping(state_, model_, schedule, nodes, true, opts);
+  const auto mapped = improve_mapping(
+      state_, model_, Pattern::kRecursiveDoubling, 1.0, nodes, true, opts);
   EXPECT_EQ(mapped, switch_major_order(tree_, nodes));
 }
 
 TEST_F(MappingFixture, SingleLeafAllocationIsAlreadyOptimal) {
-  const auto schedule = make_schedule(Pattern::kRecursiveDoubling, 4, 1.0);
   const std::vector<NodeId> nodes{3, 1, 0, 2};  // all on leaf 0
-  const auto improved =
-      improve_mapping(state_, model_, schedule, nodes, true);
+  const auto improved = improve_mapping(
+      state_, model_, Pattern::kRecursiveDoubling, 1.0, nodes, true);
   // All same-leaf orderings cost the same; the result is the sorted block.
   EXPECT_EQ(improved, (std::vector<NodeId>{0, 1, 2, 3}));
 }

@@ -3,8 +3,10 @@
 
 tests/tools/contracts_fixtures/ is a miniature repo tree seeded with one
 violation per rule family the analyzer enforces (DESIGN.md "Effect
-contracts"): a transitive allocation through a helper, a virtual dispatch
-to an allocating override, unjustified static and mutable state on the
+contracts"): a transitive allocation through a helper, a local owning
+container and a std::make_unique<T>() directly in hot-path bodies, a
+virtual dispatch to an allocating override, unjustified static and
+mutable state on the
 run_cell worker path, a named thread root whose class lacks the method, a
 wall-clock read in src/sched/, an unordered-map iteration in src/exp/,
 and a trusted escape at both granularities. The
@@ -42,6 +44,8 @@ EXPECTED_VIOLATIONS = [
      ["commsched::hot_entry", "commsched::append_twice"]),
     ("no-alloc", "commsched::append_twice",
      ["commsched::hot_entry", "commsched::append_twice"]),
+    ("no-alloc", "commsched::box_event", ["commsched::box_event"]),
+    ("no-alloc", "commsched::sum_event", ["commsched::sum_event"]),
     ("no-alloc-unannotated", "commsched::GrowingPicker::select_into",
      ["commsched::drive", "commsched::GrowingPicker::select_into"]),
     ("no-alloc-unannotated", "commsched::append_twice",
@@ -60,9 +64,11 @@ EXPECTED_TRUSTED = [
 
 EXPECTED_HOT_ROOTS = [
     "commsched::ReusingPicker::select_into",
+    "commsched::box_event",
     "commsched::drive",
     "commsched::hot_entry",
     "commsched::hot_trusted_entry",
+    "commsched::sum_event",
 ]
 
 

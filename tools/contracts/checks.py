@@ -170,7 +170,7 @@ def check_no_alloc(prog: Program) -> tuple[list[Violation], list[TrustEntry],
                 location=fn.location(),
                 message="reachable from a `// hot-path: no-alloc` root but "
                         "not annotated (and not provably inert): annotate "
-                        "it so the lexical lint also guards its body",
+                        "it so its body is checked as a root of its own",
                 chain=chain))
     root_names = sorted({prog.functions[r].qualified_name for r in roots})
     return violations, trusted, root_names

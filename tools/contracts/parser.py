@@ -133,8 +133,7 @@ def tokenize(code: str) -> list[Token]:
 # Effect tables
 # ---------------------------------------------------------------------------
 
-# Owning std containers whose by-value construction allocates (mirrors the
-# lint's hot-path table).
+# Owning std containers whose by-value construction allocates.
 OWNING_CONTAINER_RE = re.compile(
     r"\bstd\s*::\s*(?:vector|deque|list|forward_list|map|set|multimap|"
     r"multiset|unordered_\w+|priority_queue|queue|stack|valarray|"
@@ -755,6 +754,10 @@ class FileParser:
             nxt = toks[j + 1].text if j + 1 < end else ""
             if txt.isidentifier() and txt not in KEYWORDS_NOT_CALLS \
                     and nxt == "(":
+                self._classify_call(fn, toks, j, type_of)
+            elif txt in ALLOC_FREE_FUNCTIONS and nxt == "<":
+                # `std::make_unique<T>(...)`: the template argument list
+                # sits between the name and the call's parentheses
                 self._classify_call(fn, toks, j, type_of)
             elif txt.isidentifier() and txt in RAND_TYPES:
                 fn.facts.append(self._fact(Effect.USES_RAND, t.line,

@@ -26,14 +26,6 @@ Enforces the project conventions clang-tidy cannot know about:
                      campaign cells run concurrently (DESIGN.md "Campaign
                      engine & parallel execution"), so hidden mutable state
                      is a data race unless explicitly argued otherwise
-  hot-path-alloc     a function definition annotated `// hot-path: no-alloc`
-                     (the scheduler event loop's per-event operations,
-                     DESIGN.md "Million-job event loop") must not declare
-                     local allocating containers (vector/deque/map/set/
-                     string/...) or call make_unique/make_shared in its
-                     body — references, pointers and spans to containers
-                     are fine. Steady-state events must reuse member
-                     scratch, never touch the heap.
   whitespace         no tabs, no trailing whitespace, newline at EOF
 
 Usage: tools/lint.py [paths...]   (defaults to src/ and tests/)
@@ -202,69 +194,6 @@ def lint_includes(path: Path, raw: str) -> None:
     check_block()
 
 
-HOT_PATH_MARK = "// hot-path: no-alloc"
-# An owning-container mention: `std::vector<...`, `std::string s`, etc.
-# Lines that also contain `&` or `*` are exempt (references/pointers/spans
-# to containers do not allocate; the heuristic accepts the rare false
-# negative on mixed lines rather than flagging parameter lists).
-HOT_ALLOC_CONTAINER_RE = re.compile(
-    r"\bstd\s*::\s*(?:vector|deque|list|forward_list|map|set|multimap|"
-    r"multiset|unordered_\w+|priority_queue|queue|stack|valarray|"
-    r"(?:o|i)?stringstream|w?string|function|any)\b\s*[<\s]")
-HOT_ALLOC_CALL_RE = re.compile(r"\bstd\s*::\s*make_(?:unique|shared)\b")
-
-
-def hot_path_body(code_lines: list[str], start: int) -> tuple[int, int] | None:
-    """Line range [first, last] of the function body following the
-    annotation at `start` (0-based), or None when the annotation sits on a
-    bodyless declaration (a `;` at paren depth 0 before any `{`)."""
-    paren = 0
-    brace = 0
-    body_start = None
-    for j in range(start, len(code_lines)):
-        for ch in code_lines[j]:
-            if ch == "(":
-                paren += 1
-            elif ch == ")":
-                paren -= 1
-            elif ch == ";" and paren == 0 and body_start is None:
-                return None
-            elif ch == "{":
-                if body_start is None:
-                    body_start = j
-                brace += 1
-            elif ch == "}":
-                brace -= 1
-                if body_start is not None and brace == 0:
-                    return (body_start, j)
-    return None  # unbalanced (macro trickery); nothing to check
-
-
-def lint_hot_path(path: Path, raw: str) -> None:
-    if (REPO_ROOT / "src") not in path.parents:
-        return
-    raw_lines = raw.split("\n")
-    code_lines = strip_comments_and_strings(raw).split("\n")
-    for i, line in enumerate(raw_lines):
-        if HOT_PATH_MARK not in line:
-            continue
-        body = hot_path_body(code_lines, i)
-        if body is None:
-            continue  # declaration only; the definition carries its own mark
-        for k in range(body[0], body[1] + 1):
-            code = code_lines[k]
-            if HOT_ALLOC_CALL_RE.search(code):
-                report(path, k + 1, "hot-path-alloc",
-                       "make_unique/make_shared inside a "
-                       "`// hot-path: no-alloc` function")
-            if (HOT_ALLOC_CONTAINER_RE.search(code)
-                    and "&" not in code and "*" not in code):
-                report(path, k + 1, "hot-path-alloc",
-                       "owning container declared inside a "
-                       "`// hot-path: no-alloc` function: reuse member "
-                       "scratch instead of allocating per event")
-
-
 def lint_code(path: Path, raw: str) -> None:
     code = strip_comments_and_strings(raw)
     in_src = (REPO_ROOT / "src") in path.parents
@@ -320,7 +249,6 @@ def lint_file(path: Path) -> None:
     lint_pragma_once(path, raw)
     lint_includes(path, raw)
     lint_code(path, raw)
-    lint_hot_path(path, raw)
 
 
 def main(argv: list[str]) -> int:
