@@ -16,6 +16,12 @@
 //             depends on the shape, not on p). The oracle is skipped here:
 //             it walks all 8M rank pairs of the 4096-rank alltoall per call.
 //
+// Regression floor: the bench exits nonzero when, in block8 at 4096 ranks,
+// cold/warm exceeds 2 for RD, RHVD, binomial or ring, or 100 for alltoall.
+// Profiles lower from the shape's runs, so a build costs about as much as a
+// cache hit; lowering from rank pairs again (O(p log p), or O(p^2) for
+// alltoall) lands far above either limit.
+//
 // Outputs:
 //   bench_out/micro_cost.csv           one row per (pattern, nranks), striped
 //   bench_out/micro_cost_profile.csv   one row per (pattern, nranks), block8
@@ -298,7 +304,25 @@ int run() {
   json << "    ]\n  }\n}\n";
   std::cout << "wrote bench_out/micro_cost.csv, bench_out/micro_cost_profile"
                ".csv and BENCH_cost_model.json\n";
-  return 0;
+
+  constexpr int kFloorRanks = 4096;
+  constexpr double kMaxColdOverWarm = 2.0;
+  constexpr double kMaxAlltoallColdOverWarm = 100.0;
+  int status = 0;
+  for (const ProfileRow& row : profile_rows) {
+    if (row.nranks != kFloorRanks) continue;
+    const double limit =
+        row.pattern == pattern_name(Pattern::kPairwiseAlltoall)
+            ? kMaxAlltoallColdOverWarm
+            : kMaxColdOverWarm;
+    if (row.cold_ns / row.warm_ns > limit) {
+      std::cerr << "FAIL: block8 " << row.pattern << " at " << row.nranks
+                << " ranks: cold/warm " << row.cold_ns / row.warm_ns
+                << " > " << limit << "\n";
+      status = 1;
+    }
+  }
+  return status;
 }
 
 }  // namespace

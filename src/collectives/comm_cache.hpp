@@ -73,6 +73,8 @@ std::uint64_t hash_value(const ShapeKey& key) noexcept;
 /// excluded (they cost 0); same-leaf pairs appear as (s, s).
 struct ProfileStepClass {
   std::vector<std::pair<std::int32_t, std::int32_t>> leaf_pairs;
+
+  bool operator==(const ProfileStepClass&) const = default;
 };
 
 /// One schedule step lowered onto a shape: which class its leaf-pair set
@@ -85,11 +87,13 @@ struct ProfileStep {
   std::int64_t rank_pairs = 0;      ///< raw pairs in the step
   std::int64_t same_node_pairs = 0; ///< pairs with both ranks on one node
   std::int64_t same_leaf_pairs = 0; ///< cross-node pairs under one leaf
+
+  bool operator==(const ProfileStep&) const = default;
 };
 
 /// A schedule's communication structure reduced to leaf-slot granularity for
 /// one (pattern, nprocs, ranks_per_node, shape). Consumed by
-/// CostModel::{allocation,candidate}_cost profile overloads.
+/// CostModel::candidate_cost and the CostModel delta session.
 struct LeafCommProfile {
   int num_slots = 0;       ///< distinct leaves of the shape
   int nprocs = 0;          ///< total ranks = shape.total_nodes * ranks_per_node
@@ -97,12 +101,18 @@ struct LeafCommProfile {
   double base_msize = 0.0;
   std::vector<ProfileStepClass> classes;
   std::vector<ProfileStep> steps;  ///< in schedule order
+
+  bool operator==(const LeafCommProfile&) const = default;
 };
 
 /// Lower the schedule of `pattern` (at nprocs = shape.total_nodes *
-/// ranks_per_node ranks, block-distributed) onto `shape`. Streams the
-/// schedule, so large-p alltoall profiles build without materializing O(p²)
-/// pairs.
+/// ranks_per_node ranks, block-distributed) onto `shape`. Works on the
+/// shape's runs, never on rank pairs: every schedule maps a rank to its
+/// partner affinely on rank intervals, so a step costs O(runs) (O(runs log
+/// p) for power-of-two alltoall). A non-power-of-two RD/RHVD at
+/// ranks_per_node > 1 lowers on one run per node instead, O(nodes) per
+/// step. Equal in every field to the rank-pair-by-rank-pair oracle in
+/// tests/support/profile_oracle.hpp.
 LeafCommProfile make_leaf_comm_profile(Pattern pattern, double base_msize,
                                        const ShapeKey& shape,
                                        int ranks_per_node);
@@ -124,7 +134,7 @@ class CommCache {
   const CommSchedule& schedule(Pattern pattern, int nprocs);
 
   /// Leaf-comm profile for a canonical shape at `ranks_per_node` ranks per
-  /// node. Uncapped: alltoall profiles stream their schedule.
+  /// node. Uncapped: profiles never materialize rank pairs.
   const LeafCommProfile& profile(Pattern pattern, int ranks_per_node,
                                  const ShapeKey& shape);
 

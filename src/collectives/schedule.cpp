@@ -130,13 +130,12 @@ bool emit_pairwise_alltoall(int p, double msize, const StepVisitor& visit) {
         if (i < j) step.pairs.emplace_back(i, j);
       }
     } else {
-      // Ring-shift exchange: rank i talks to (i + k) mod p; each unordered
-      // pair is listed once per step, every rank appears twice.
+      // Shift exchange: the i < j filter keeps (i, i + k) for i < p - k and
+      // drops every wrapped partner (i + k) mod p < i, so each unordered
+      // pair (i, j) is listed once over the whole schedule, at k = j - i.
       for (int i = 0; i < p; ++i) {
         const int j = (i + k) % p;
         if (i < j) step.pairs.emplace_back(i, j);
-        // For even p at k == p/2, i and (i + k) pair up symmetrically; the
-        // i < j filter already de-duplicates that case.
       }
     }
     if (!visit(step)) return false;

@@ -12,9 +12,11 @@
 // Schedules are generated step-by-step through for_each_schedule_step(); the
 // materialized CommSchedule form produced by make_schedule() is a convenience
 // built on top of it. Consumers that only need one pass over the steps (the
-// leaf-pair profile builder in comm_cache.cpp, the auditor's sampled
-// re-derivation) stream instead of materializing, which keeps O(p²)-pair
-// patterns affordable at large p.
+// auditor's sampled re-derivation, the test-side profile oracle) stream
+// instead of materializing, which keeps O(p²)-pair patterns affordable at
+// large p. The leaf-pair profile builder in comm_cache.cpp reads no rank
+// pairs at all: it lowers each step from the allocation's runs, so it
+// mirrors the partner maps below and must change with them.
 //
 // Non-power-of-two process counts use the MPICH construction (Thakur et al.):
 // fold the r = p - 2^floor(lg p) excess ranks into a power-of-two core with a
@@ -37,10 +39,12 @@ enum class Pattern : std::uint8_t {
   kRing,                ///< future-work pattern (neighbor exchange, p-1 rounds)
   /// MPI_Alltoall's pairwise-exchange algorithm (the FFTW/CPMD-style
   /// workload the paper's §1/§3.3 cite). p-1 steps; at step k rank i
-  /// exchanges with i XOR k (power-of-two p, perfect matching per step) or
-  /// with i±k mod p otherwise. Materialized schedules are O(p^2) pairs, so
-  /// make_schedule() caps this pattern at kMaxMaterializedAlltoallRanks;
-  /// for_each_schedule_step() streams it at any p.
+  /// exchanges with i XOR k (power-of-two p, perfect matching per step);
+  /// otherwise step k lists the pairs (i, i+k) for i < p-k only, so each
+  /// unordered pair (i, j) appears once, at step k = j-i. Materialized
+  /// schedules are O(p^2) pairs, so make_schedule() caps this pattern at
+  /// kMaxMaterializedAlltoallRanks; for_each_schedule_step() streams it at
+  /// any p.
   kPairwiseAlltoall,
 };
 
