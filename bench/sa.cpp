@@ -22,7 +22,9 @@
 //
 // Outputs:
 //   bench_out/sa_grid.csv   one row per admitted (machine, set) cell
-//   BENCH_sa.json           perf + grid snapshot at the repo root
+//   BENCH_sa.json           perf + grid snapshot at the repo root, with the
+//                           host CPU model, its core count and the
+//                           checkout's commit
 //
 // Environment knobs (CI smoke caps):
 //   COMMSCHED_SA_JOBS     jobs per log for the grid (default COMMSCHED_JOBS)
@@ -37,6 +39,7 @@
 #include <iostream>
 #include <span>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -46,6 +49,7 @@
 #include "core/sa_allocator.hpp"
 #include "exp/campaign.hpp"
 #include "exp/emit.hpp"
+#include "host_info.hpp"
 #include "metrics/summary.hpp"
 #include "topology/builders.hpp"
 #include "util/rng.hpp"
@@ -259,6 +263,9 @@ int run() {
 
   json << "{\n"
        << "  \"bench\": \"sa\",\n"
+       << "  \"host\": \"" << cpu_model() << "\",\n"
+       << "  \"nproc\": " << std::thread::hardware_concurrency() << ",\n"
+       << "  \"commit\": \"" << source_commit() << "\",\n"
        << "  \"delta\": {\n"
        << "    \"scenario\": \"32x64 tree, 1024-rank candidate striped over "
           "24 leaves, 40% background load\",\n"

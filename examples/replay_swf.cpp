@@ -4,8 +4,8 @@
 // loader -> simulator -> trace-sink pipeline in its smallest form.
 //
 //   $ ./replay_swf ../data/demo-raw-trace.swf ../data/demo-topology.conf
-//   $ ./replay_swf trace.swf topology.conf --cores-per-node 16 \
-//         --allocator balanced --trace events.jsonl
+//   $ ./replay_swf trace.swf topo.conf --cores-per-node 16 --allocator balanced
+//   $ ./replay_swf trace.swf topo.conf --trace events.jsonl
 //
 // For the full metrics/mix treatment (synthetic logs, comm decoration,
 // paper tables), see log_replay.cpp; this example is the quick-start the

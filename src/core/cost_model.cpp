@@ -10,18 +10,12 @@ LeafOverlay::LeafOverlay(const Tree& tree)
     : extra_(static_cast<std::size_t>(tree.switch_count()), 0) {}
 
 // hot-path: no-alloc
-void LeafOverlay::add_nodes(const Tree& tree, std::span<const NodeId> nodes,
-                            int copies) {
-  COMMSCHED_ASSERT_GE(copies, 1);
-  const auto n_switches = static_cast<std::size_t>(tree.switch_count());
-  // contract-trusted: no-alloc: overlay sized to the topology's switch
-  // count on first use; reused across candidates
-  if (extra_.size() < n_switches) extra_.resize(n_switches, 0);
+void LeafOverlay::add_nodes(const Tree& tree, std::span<const NodeId> nodes) {
   for (const NodeId n : nodes) {
     const SwitchId leaf = tree.leaf_of(n);
     // contract-trusted: no-alloc: bounded by leaf count; reused capacity
     if (extra_[static_cast<std::size_t>(leaf)] == 0) touched_.push_back(leaf);
-    extra_[static_cast<std::size_t>(leaf)] += copies;
+    ++extra_[static_cast<std::size_t>(leaf)];
   }
 }
 
@@ -33,8 +27,7 @@ void LeafOverlay::clear() {
 
 // hot-path: no-alloc
 int LeafOverlay::extra_comm(SwitchId leaf) const {
-  const auto i = static_cast<std::size_t>(leaf);
-  return i < extra_.size() ? extra_[i] : 0;
+  return extra_[static_cast<std::size_t>(leaf)];
 }
 
 CostModel::CostModel(const Tree& tree, CostOptions options)
@@ -51,8 +44,8 @@ double leaf_comm_fraction(const ClusterState& state, SwitchId leaf,
 }
 
 /// Eq. 5 hops between two leaves from frozen per-leaf contention inputs —
-/// the single arithmetic shared by the profile kernel (slot_hops) and the
-/// delta session, so both agree bit for bit.
+/// the single arithmetic behind the slot-table memo (memo_hops) and the
+/// delta session's tentative rows, so both agree bit for bit.
 // hot-path: no-alloc
 double eq5_hops(const Tree& tree, SwitchId la, SwitchId lb, double ca,
                 double na, double cb, double nb) {
@@ -82,6 +75,25 @@ double sum_profile_steps(const LeafCommProfile& profile, bool hop_bytes,
     total += step_cost;
   }
   return total;
+}
+
+/// Memoized Eq. 5 hops between two slots of a frozen SlotTable: the one
+/// accessor candidate_cost and the delta session's committed base share.
+// hot-path: no-alloc
+double memo_hops(const Tree& tree, CostWorkspace::SlotTable& t, std::int32_t a,
+                 std::int32_t b) {
+  const auto ia = static_cast<std::size_t>(a);
+  const auto ib = static_cast<std::size_t>(b);
+  const std::size_t k = t.slot_leaf.size();
+  double& memo = t.hops[ia * k + ib];
+  if (memo < 0.0) {
+    // Distinct slots always sit on distinct leaves, so eq5_hops's
+    // same-leaf branch is exactly the same-slot (Eq. 2) case.
+    memo = eq5_hops(tree, t.slot_leaf[ia], t.slot_leaf[ib], t.slot_comm[ia],
+                    t.slot_nodes[ia], t.slot_comm[ib], t.slot_nodes[ib]);
+    t.hops[ib * k + ia] = memo;
+  }
+  return memo;
 }
 
 /// Keep a class's top-3 distinct pairs by hops value (descending; ties keep
@@ -130,51 +142,51 @@ double CostModel::effective_hops(const ClusterState& state, NodeId i, NodeId j,
 }
 
 // hot-path: no-alloc
-std::size_t CostModel::map_leaves(const ClusterState& state,
-                                  std::span<const NodeId> nodes,
-                                  const LeafOverlay* overlay,
-                                  CostWorkspace& ws) const {
+std::size_t CostModel::freeze_slots(const ClusterState& state,
+                                    std::span<const NodeId> nodes,
+                                    bool comm_intensive,
+                                    const LeafCommProfile& profile,
+                                    CostWorkspace& ws,
+                                    CostWorkspace::SlotTable& t) const {
+  COMMSCHED_ASSERT_EQ_MSG(
+      static_cast<int>(nodes.size()) * profile.ranks_per_node, profile.nprocs,
+      "node count does not match the profile's shape");
   const Tree& tree = *tree_;
   const auto n_leaves = static_cast<std::size_t>(tree.leaf_count());
   if (ws.leaf_slot_.size() != n_leaves) ws.leaf_slot_.assign(n_leaves, -1);
-
-  ws.call_leaves_.clear();
-  ws.call_leaf_comm_.clear();
-  ws.call_leaf_nodes_.clear();
+  t.slot_leaf.clear();
+  t.slot_nnodes.clear();
   for (const NodeId n : nodes) {
     const SwitchId leaf = tree.leaf_of(n);
-    const auto li = static_cast<std::size_t>(tree.leaf_index(leaf));
-    if (ws.leaf_slot_[li] < 0) {
-      ws.leaf_slot_[li] = static_cast<std::int32_t>(ws.call_leaves_.size());
-      ws.call_leaves_.push_back(leaf);
-      ws.call_leaf_comm_.push_back(static_cast<double>(
-          state.leaf_comm(leaf) + (overlay ? overlay->extra_comm(leaf) : 0)));
-      ws.call_leaf_nodes_.push_back(
-          static_cast<double>(state.leaf_nodes(leaf)));
+    std::int32_t& slot =
+        ws.leaf_slot_[static_cast<std::size_t>(tree.leaf_index(leaf))];
+    if (slot < 0) {
+      slot = static_cast<std::int32_t>(t.slot_leaf.size());
+      t.slot_leaf.push_back(leaf);
+      t.slot_nnodes.push_back(0);
     }
+    ++t.slot_nnodes[static_cast<std::size_t>(slot)];
   }
-  return ws.call_leaves_.size();
-}
-
-// hot-path: no-alloc
-void CostModel::release_slots(CostWorkspace& ws) const {
-  for (const SwitchId leaf : ws.call_leaves_)
-    ws.leaf_slot_[static_cast<std::size_t>(tree_->leaf_index(leaf))] = -1;
-}
-
-// hot-path: no-alloc
-double CostModel::slot_hops(const Tree& tree, CostWorkspace& ws,
-                            std::size_t sa, std::size_t sb, std::size_t k) {
-  double& memo = ws.pair_hops_[sa * k + sb];
-  if (memo < 0.0) {
-    // Distinct slots always sit on distinct leaves, so eq5_hops's
-    // same-leaf branch is exactly the old same-slot (Eq. 2) branch.
-    memo = eq5_hops(tree, ws.call_leaves_[sa], ws.call_leaves_[sb],
-                    ws.call_leaf_comm_[sa], ws.call_leaf_nodes_[sa],
-                    ws.call_leaf_comm_[sb], ws.call_leaf_nodes_[sb]);
-    ws.pair_hops_[sb * k + sa] = memo;
+  const std::size_t k = t.slot_leaf.size();
+  // Every rank of an overlaid candidate counts toward its leaf's L_comm.
+  t.overlay = comm_intensive && options_.include_candidate
+                  ? profile.ranks_per_node
+                  : 0;
+  t.slot_comm.resize(k);
+  t.slot_nodes.resize(k);
+  for (std::size_t s = 0; s < k; ++s) {
+    const SwitchId leaf = t.slot_leaf[s];
+    ws.leaf_slot_[static_cast<std::size_t>(tree.leaf_index(leaf))] = -1;
+    t.slot_comm[s] = static_cast<double>(state.leaf_comm(leaf) +
+                                         t.overlay * t.slot_nnodes[s]);
+    t.slot_nodes[s] = static_cast<double>(state.leaf_nodes(leaf));
   }
-  return memo;
+  COMMSCHED_ASSERT_EQ_MSG(static_cast<int>(k), profile.num_slots,
+                          "allocation leaf structure does not match the "
+                          "profile's shape (stale ShapeKey?)");
+  t.hops.assign(k * k, -1.0);
+  t.class_worst.resize(profile.classes.size());
+  return k;
 }
 
 // Profile kernel: the per-step distinct leaf-pair sets are precomputed (and
@@ -187,53 +199,21 @@ double CostModel::slot_hops(const Tree& tree, CostWorkspace& ws,
 // order with identical per-step arithmetic, so the result is bit-for-bit
 // equal to pair-by-pair Eq. 6 over the block-expanded rank list.
 // hot-path: no-alloc
-double CostModel::cost_profile_impl(const ClusterState& state,
-                                    std::span<const NodeId> nodes,
-                                    const LeafCommProfile& profile,
-                                    const LeafOverlay* overlay,
-                                    CostWorkspace& ws) const {
-  COMMSCHED_ASSERT_EQ_MSG(
-      static_cast<int>(nodes.size()) * profile.ranks_per_node, profile.nprocs,
-      "node count does not match the profile's shape");
-  const Tree& tree = *tree_;
-  const std::size_t k = map_leaves(state, nodes, overlay, ws);
-  COMMSCHED_ASSERT_EQ_MSG(static_cast<int>(k), profile.num_slots,
-                          "allocation leaf structure does not match the "
-                          "profile's shape (stale ShapeKey?)");
-  ws.pair_hops_.assign(k * k, -1.0);
-
-  ws.class_worst_.resize(profile.classes.size());
-  for (std::size_t c = 0; c < profile.classes.size(); ++c) {
-    double worst = 0.0;
-    for (const auto& [sa, sb] : profile.classes[c].leaf_pairs)
-      worst = std::max(worst, slot_hops(tree, ws, static_cast<std::size_t>(sa),
-                                        static_cast<std::size_t>(sb), k));
-    ws.class_worst_[c] = worst;
-  }
-
-  const double total =
-      sum_profile_steps(profile, options_.hop_bytes,
-                        [&](std::size_t c) { return ws.class_worst_[c]; });
-
-  release_slots(ws);
-  return total;
-}
-
-// hot-path: no-alloc
 double CostModel::candidate_cost(const ClusterState& state,
                                  std::span<const NodeId> nodes,
                                  bool comm_intensive,
                                  const LeafCommProfile& profile,
                                  CostWorkspace& workspace) const {
-  if (!comm_intensive || !options_.include_candidate)
-    return cost_profile_impl(state, nodes, profile, nullptr, workspace);
-  // Every rank of the candidate counts toward its leaf's L_comm.
-  workspace.overlay_.clear();
-  workspace.overlay_.add_nodes(*tree_, nodes, profile.ranks_per_node);
-  const double cost =
-      cost_profile_impl(state, nodes, profile, &workspace.overlay_, workspace);
-  workspace.overlay_.clear();
-  return cost;
+  auto& t = workspace.call_;
+  freeze_slots(state, nodes, comm_intensive, profile, workspace, t);
+  for (std::size_t c = 0; c < profile.classes.size(); ++c) {
+    double worst = 0.0;
+    for (const auto& [sa, sb] : profile.classes[c].leaf_pairs)
+      worst = std::max(worst, memo_hops(*tree_, t, sa, sb));
+    t.class_worst[c] = worst;
+  }
+  return sum_profile_steps(profile, options_.hop_bytes,
+                           [&](std::size_t c) { return t.class_worst[c]; });
 }
 
 namespace {
@@ -387,6 +367,24 @@ void build_delta_index(const LeafCommProfile& profile, std::size_t k,
   }
 }
 
+/// Rebuild class `c`'s committed worst hops and top-3 from the session's
+/// memo, computing every unset entry.
+// hot-path: no-alloc
+void settle_class(const Tree& tree, CostWorkspace::DeltaSession& d,
+                  std::size_t c) {
+  double worst = 0.0;
+  auto& top = d.top[c];
+  top.fill(CostWorkspace::DeltaTop{});
+  const auto lo = static_cast<std::size_t>(d.class_pair_off[c]);
+  const auto hi = static_cast<std::size_t>(d.class_pair_off[c + 1]);
+  for (std::size_t p = lo; p < hi; ++p) {
+    const double v = memo_hops(tree, d, d.pair_a[p], d.pair_b[p]);
+    worst = std::max(worst, v);
+    top3_insert(top, v, d.pair_a[p], d.pair_b[p]);
+  }
+  d.class_worst[c] = worst;
+}
+
 }  // namespace
 
 // contract-trusted: no-alloc: session setup, once per anneal — already
@@ -398,85 +396,23 @@ double CostModel::delta_begin(const ClusterState& state,
                               const LeafCommProfile& profile,
                               CostWorkspace& ws) const {
   auto& d = ws.delta_;
-  COMMSCHED_ASSERT_EQ_MSG(
-      static_cast<int>(nodes.size()) * profile.ranks_per_node, profile.nprocs,
-      "node count does not match the profile's shape");
-  const Tree& tree = *tree_;
+  const std::size_t k =
+      freeze_slots(state, nodes, comm_intensive, profile, ws, d);
   d.active = true;
   d.pending = false;
   d.profile = &profile;
   d.state = &state;
   d.free_at_begin = state.total_free();
-  d.rpn = profile.ranks_per_node;
-  d.overlayed = comm_intensive && options_.include_candidate;
-
-  // Freeze the per-slot placement and contention inputs (first-appearance
-  // slot order, exactly like map_leaves / the ShapeKey).
-  const auto n_leaves = static_cast<std::size_t>(tree.leaf_count());
-  // contract-trusted: no-alloc: session arrays sized to the shape's slot
-  // count / topology, capacity reused across sessions
-  if (ws.leaf_slot_.size() != n_leaves) ws.leaf_slot_.assign(n_leaves, -1);
-  d.slot_leaf.clear();
-  d.slot_nnodes.clear();
-  for (const NodeId n : nodes) {
-    const SwitchId leaf = tree.leaf_of(n);
-    const auto li = static_cast<std::size_t>(tree.leaf_index(leaf));
-    std::int32_t slot = ws.leaf_slot_[li];
-    if (slot < 0) {
-      slot = static_cast<std::int32_t>(d.slot_leaf.size());
-      ws.leaf_slot_[li] = slot;
-      d.slot_leaf.push_back(leaf);
-      d.slot_nnodes.push_back(0);
-    }
-    ++d.slot_nnodes[static_cast<std::size_t>(slot)];
-  }
-  for (const SwitchId leaf : d.slot_leaf)
-    ws.leaf_slot_[static_cast<std::size_t>(tree.leaf_index(leaf))] = -1;
-  const std::size_t k = d.slot_leaf.size();
-  COMMSCHED_ASSERT_EQ_MSG(static_cast<int>(k), profile.num_slots,
-                          "allocation leaf structure does not match the "
-                          "profile's shape (stale ShapeKey?)");
-  d.k = static_cast<std::int32_t>(k);
-  d.slot_comm.resize(k);
-  d.slot_nodes.resize(k);
-  for (std::size_t s = 0; s < k; ++s) {
-    const SwitchId leaf = d.slot_leaf[s];
-    const int extra = d.overlayed ? d.rpn * d.slot_nnodes[s] : 0;
-    d.slot_comm[s] = static_cast<double>(state.leaf_comm(leaf) + extra);
-    d.slot_nodes[s] = static_cast<double>(state.leaf_nodes(leaf));
-  }
 
   build_delta_index(profile, k, d);
 
   // Materialize every class pair's hops, each class's worst and top-3.
   const std::size_t n_classes = profile.classes.size();
-  d.hops.assign(k * k, -1.0);
-  d.class_worst.resize(n_classes);
   d.top.resize(n_classes);
-  for (std::size_t c = 0; c < n_classes; ++c) {
-    double worst = 0.0;
-    auto& top = d.top[c];
-    top.fill(CostWorkspace::DeltaTop{});
-    const auto lo = static_cast<std::size_t>(d.class_pair_off[c]);
-    const auto hi = static_cast<std::size_t>(d.class_pair_off[c + 1]);
-    for (std::size_t p = lo; p < hi; ++p) {
-      const auto a = static_cast<std::size_t>(d.pair_a[p]);
-      const auto b = static_cast<std::size_t>(d.pair_b[p]);
-      double& memo = d.hops[a * k + b];
-      if (memo < 0.0) {
-        memo = eq5_hops(tree, d.slot_leaf[a], d.slot_leaf[b], d.slot_comm[a],
-                        d.slot_nodes[a], d.slot_comm[b], d.slot_nodes[b]);
-        d.hops[b * k + a] = memo;
-      }
-      worst = std::max(worst, memo);
-      top3_insert(top, memo, static_cast<std::int32_t>(a),
-                  static_cast<std::int32_t>(b));
-    }
-    d.class_worst[c] = worst;
-  }
+  for (std::size_t c = 0; c < n_classes; ++c) settle_class(*tree_, d, c);
 
   // Reset the tentative rows and compute the committed total through the
-  // shared step loop (bit-identical to cost_profile_impl's summation).
+  // shared step loop (bit-identical to candidate_cost's summation).
   d.move_epoch = 0;
   d.slot_stamp.assign(k, 0);
   d.tent_leaf.assign(k, kInvalidSwitch);
@@ -501,7 +437,7 @@ double CostModel::cost_delta(const ClusterState& state,
                        "cluster state changed under the delta session");
   COMMSCHED_ASSERT(!moves.empty() && moves.size() <= kMaxDeltaMoves);
   const Tree& tree = *tree_;
-  const auto k = static_cast<std::size_t>(d.k);
+  const std::size_t k = d.slot_leaf.size();
 
   ++d.move_epoch;
   for (std::size_t m = 0; m < moves.size(); ++m) {
@@ -513,8 +449,8 @@ double CostModel::cost_delta(const ClusterState& state,
                          "duplicate slot in one cost_delta call");
     d.slot_stamp[s] = d.move_epoch;
     d.tent_leaf[s] = mv.leaf;
-    const int extra = d.overlayed ? d.rpn * d.slot_nnodes[s] : 0;
-    d.tent_comm[s] = static_cast<double>(state.leaf_comm(mv.leaf) + extra);
+    d.tent_comm[s] = static_cast<double>(state.leaf_comm(mv.leaf) +
+                                         d.overlay * d.slot_nnodes[s]);
     d.tent_nodes[s] = static_cast<double>(state.leaf_nodes(mv.leaf));
     d.last_moves[m] = mv;
   }
@@ -563,52 +499,21 @@ double CostModel::cost_delta(const ClusterState& state,
 void CostModel::delta_commit(CostWorkspace& ws) const {
   auto& d = ws.delta_;
   COMMSCHED_ASSERT_MSG(d.pending, "delta_commit without a pending cost_delta");
-  const Tree& tree = *tree_;
-  const auto k = static_cast<std::size_t>(d.k);
+  const std::size_t k = d.slot_leaf.size();
 
+  // Promote the moved slots' tentative rows and unset their memo rows, then
+  // re-settle every touched class. Every pair touching a moved slot belongs
+  // to some touched class, so this recomputes exactly the stale entries.
   for (std::size_t m = 0; m < d.last_move_count; ++m) {
     const auto s = static_cast<std::size_t>(d.last_moves[m].slot);
     d.slot_leaf[s] = d.tent_leaf[s];
     d.slot_comm[s] = d.tent_comm[s];
     d.slot_nodes[s] = d.tent_nodes[s];
+    for (std::size_t t = 0; t < k; ++t)
+      d.hops[s * k + t] = d.hops[t * k + s] = -1.0;
   }
-  // Refresh the memo rows of the moved slots' pairs, then rebuild the worst
-  // and top-3 of every touched class from the (now consistent) memo. Every
-  // pair touching a moved slot belongs to some touched class, so this
-  // covers exactly the stale entries.
-  for (const std::int32_t c : d.touched_classes) {
-    const auto ci = static_cast<std::size_t>(c);
-    for (std::size_t m = 0; m < d.last_move_count; ++m) {
-      const auto s = static_cast<std::size_t>(d.last_moves[m].slot);
-      const std::size_t row = ci * k + s;
-      const auto lo = static_cast<std::size_t>(d.class_slot_pair_off[row]);
-      const auto hi = static_cast<std::size_t>(d.class_slot_pair_off[row + 1]);
-      for (std::size_t p = lo; p < hi; ++p) {
-        const auto id = static_cast<std::size_t>(d.class_slot_pairs[p]);
-        const auto a = static_cast<std::size_t>(d.pair_a[id]);
-        const auto b = static_cast<std::size_t>(d.pair_b[id]);
-        const double v =
-            eq5_hops(tree, d.slot_leaf[a], d.slot_leaf[b], d.slot_comm[a],
-                     d.slot_nodes[a], d.slot_comm[b], d.slot_nodes[b]);
-        d.hops[a * k + b] = v;
-        d.hops[b * k + a] = v;
-      }
-    }
-    double worst = 0.0;
-    auto& top = d.top[ci];
-    top.fill(CostWorkspace::DeltaTop{});
-    const auto lo = static_cast<std::size_t>(d.class_pair_off[ci]);
-    const auto hi = static_cast<std::size_t>(d.class_pair_off[ci + 1]);
-    for (std::size_t p = lo; p < hi; ++p) {
-      const auto a = static_cast<std::size_t>(d.pair_a[p]);
-      const auto b = static_cast<std::size_t>(d.pair_b[p]);
-      const double v = d.hops[a * k + b];
-      worst = std::max(worst, v);
-      top3_insert(top, v, static_cast<std::int32_t>(a),
-                  static_cast<std::int32_t>(b));
-    }
-    d.class_worst[ci] = worst;
-  }
+  for (const std::int32_t c : d.touched_classes)
+    settle_class(*tree_, d, static_cast<std::size_t>(c));
   d.total = d.last_total;
   d.pending = false;
 }
@@ -622,7 +527,8 @@ SwitchId CostModel::delta_slot_leaf(const CostWorkspace& ws,
                                     std::int32_t slot) const {
   const auto& d = ws.delta_;
   COMMSCHED_ASSERT_MSG(d.active, "no active delta session");
-  COMMSCHED_ASSERT(slot >= 0 && slot < d.k);
+  COMMSCHED_ASSERT(slot >= 0 &&
+                   static_cast<std::size_t>(slot) < d.slot_leaf.size());
   return d.slot_leaf[static_cast<std::size_t>(slot)];
 }
 
@@ -630,7 +536,8 @@ int CostModel::delta_slot_nnodes(const CostWorkspace& ws,
                                  std::int32_t slot) const {
   const auto& d = ws.delta_;
   COMMSCHED_ASSERT_MSG(d.active, "no active delta session");
-  COMMSCHED_ASSERT(slot >= 0 && slot < d.k);
+  COMMSCHED_ASSERT(slot >= 0 &&
+                   static_cast<std::size_t>(slot) < d.slot_leaf.size());
   return d.slot_nnodes[static_cast<std::size_t>(slot)];
 }
 

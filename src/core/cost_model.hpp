@@ -9,9 +9,10 @@
 //   Job cost   Cost = sum over steps n of max_{(i,j) in S_n} Hops(i,j) (Eq. 6)
 //
 // Costs can be priced for a *candidate* allocation that is not committed yet:
-// the candidate job's own nodes then count toward each leaf's L_comm (the
-// paper's worked Figure 5 example includes the job under consideration), via
-// a per-leaf overlay so the ClusterState itself is never touched.
+// the candidate job's own ranks then count toward each leaf's L_comm (the
+// paper's worked Figure 5 example includes the job under consideration), in
+// the workspace's frozen per-slot inputs, so the ClusterState itself is never
+// touched.
 //
 // One evaluation path: candidate_cost over a LeafCommProfile — the
 // schedule lowered onto the allocation's canonical shape (CommCache memoizes
@@ -45,19 +46,15 @@ struct CostOptions {
 };
 
 /// Extra communication-intensive node counts per leaf switch, representing a
-/// hypothetical allocation on top of the committed ClusterState. Sized
-/// lazily, so a default-constructed overlay (inside CostWorkspace) binds to
-/// whichever topology it is first used with.
+/// hypothetical allocation on top of the committed ClusterState (the
+/// per-pair contention/effective_hops and IoModel take one; the Eq. 6
+/// kernel folds the candidate into its slot table instead).
 class LeafOverlay {
  public:
-  LeafOverlay() = default;
   explicit LeafOverlay(const Tree& tree);
 
-  /// Add the candidate job's nodes, `copies` per node. candidate_cost passes
-  /// copies = ranks_per_node, so every rank of the candidate counts once
-  /// toward its leaf's L_comm.
-  void add_nodes(const Tree& tree, std::span<const NodeId> nodes,
-                 int copies = 1);
+  /// Add one count per listed node on that node's leaf.
+  void add_nodes(const Tree& tree, std::span<const NodeId> nodes);
   void clear();
 
   int extra_comm(SwitchId leaf) const;
@@ -92,20 +89,20 @@ class CostWorkspace {
  public:
   CostWorkspace() = default;
 
- private:
-  friend class CostModel;
+  // An allocation frozen at leaf-slot granularity (CostModel::freeze_slots):
+  // slots numbered by first appearance in the node list, the ShapeKey's
+  // numbering, each with its leaf, its node count and its Eq. 2/3 inputs,
+  // plus the k×k Eq. 5 memo and the per-class worst hops of one profile.
+  struct SlotTable {
+    int overlay = 0;                    // candidate ranks per node on L_comm
+    std::vector<SwitchId> slot_leaf;
+    std::vector<std::int32_t> slot_nnodes;
+    std::vector<double> slot_comm;      // L_comm (+ overlay), per slot
+    std::vector<double> slot_nodes;     // L_nodes, per slot
+    std::vector<double> hops;           // k×k Eq. 5 memo, -1 unset
+    std::vector<double> class_worst;    // per profile class: max hops
+  };
 
-  // leaf_slot_ maps dense leaf index -> compact slot in the current call's
-  // leaf set (-1 when untouched; restored at the end of each call).
-  std::vector<std::int32_t> leaf_slot_;
-  std::vector<SwitchId> call_leaves_;    // distinct leaves, by slot
-  std::vector<double> call_leaf_comm_;   // L_comm (+overlay), by slot
-  std::vector<double> call_leaf_nodes_;  // L_nodes, by slot
-  std::vector<double> pair_hops_;        // slot×slot memo, -1 unset
-  std::vector<double> class_worst_;      // per profile step class: max hops
-  LeafOverlay overlay_;                  // candidate_cost scratch
-
- public:
   // --- Delta-cost session (CostModel::delta_begin / cost_delta /
   // delta_commit) -----------------------------------------------------------
   // One session prices many tentative SlotMoves against a frozen
@@ -120,24 +117,14 @@ class CostWorkspace {
     double v = -1.0;               // Eq. 5 hops; < 0 marks an empty entry
     std::int32_t a = -1, b = -1;   // the pair's leaf slots
   };
-  struct DeltaSession {
+  // The committed base is the SlotTable (its memo valid on class pairs);
+  // the session adds each class's top-3 and the move index.
+  struct DeltaSession : SlotTable {
     bool active = false;                ///< delta_begin has primed the session
     bool pending = false;               ///< a cost_delta awaits delta_commit
-    bool overlayed = false;             ///< candidate overlay in force
     const LeafCommProfile* profile = nullptr;
     const ClusterState* state = nullptr;
     int free_at_begin = 0;              // tripwire: state must stay frozen
-    int rpn = 1;
-    std::int32_t k = 0;                 // leaf slots of the session's shape
-
-    // Committed base: per-slot placement + frozen contention inputs, the
-    // k×k hops memo (valid on class pairs), and per-class max / top-3.
-    std::vector<SwitchId> slot_leaf;
-    std::vector<std::int32_t> slot_nnodes;
-    std::vector<double> slot_comm;      // L_comm (+ overlay), per slot
-    std::vector<double> slot_nodes;     // L_nodes, per slot
-    std::vector<double> hops;
-    std::vector<double> class_worst;
     std::vector<std::array<DeltaTop, 3>> top;
     double total = 0.0;                 // committed Eq. 6 total
 
@@ -165,6 +152,13 @@ class CostWorkspace {
   };
 
  private:
+  friend class CostModel;
+
+  // Dense leaf index -> slot while freeze_slots runs (-1 otherwise).
+  std::vector<std::int32_t> leaf_slot_;
+  // Two tables: SaAllocator's verify_stride prices candidate_cost on the
+  // session's own workspace in the middle of an anneal.
+  SlotTable call_;  // candidate_cost
   DeltaSession delta_;
 };
 
@@ -244,22 +238,14 @@ class CostModel {
                         std::int32_t slot) const;
 
  private:
-  double cost_profile_impl(const ClusterState& state,
-                           std::span<const NodeId> nodes,
-                           const LeafCommProfile& profile,
-                           const LeafOverlay* overlay,
-                           CostWorkspace& ws) const;
-  /// Map the call's distinct leaves to compact slots and freeze the
-  /// per-leaf contention inputs in `ws`. Returns the slot count k and
-  /// leaves ws.leaf_slot_ populated for the visited leaves (reset via
-  /// release_slots).
-  std::size_t map_leaves(const ClusterState& state,
-                         std::span<const NodeId> nodes,
-                         const LeafOverlay* overlay, CostWorkspace& ws) const;
-  void release_slots(CostWorkspace& ws) const;
-  /// Memoized Eq. 5 hops between two leaf slots (frozen call state in ws).
-  static double slot_hops(const Tree& tree, CostWorkspace& ws, std::size_t sa,
-                          std::size_t sb, std::size_t k);
+  /// Freeze `nodes` into `table` for `profile`: first-appearance slots, per
+  /// slot node count, L_comm (plus ranks_per_node per node when the
+  /// candidate is overlaid) and L_nodes; reset the Eq. 5 memo and size the
+  /// per-class worst values. Returns the slot count k.
+  std::size_t freeze_slots(const ClusterState& state,
+                           std::span<const NodeId> nodes, bool comm_intensive,
+                           const LeafCommProfile& profile, CostWorkspace& ws,
+                           CostWorkspace::SlotTable& table) const;
 
   const Tree* tree_;
   CostOptions options_;

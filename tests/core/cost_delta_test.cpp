@@ -158,8 +158,8 @@ TEST_F(CostDeltaFixture, FuzzedMoveSequencesMatchFullRecomputeBitForBit) {
             const ShadowPlacement shadow = shadow_of(model, ws, shape);
             std::vector<SwitchId> committed = shadow.slot_leaf;
             Rng rng(splitmix64(0x5eedf00d ^
-                               static_cast<std::uint64_t>(pattern) * 131 +
-                               static_cast<std::uint64_t>(rpn)));
+                               (static_cast<std::uint64_t>(pattern) * 131 +
+                                static_cast<std::uint64_t>(rpn))));
             std::array<SlotMove, kMaxDeltaMoves> moves{};
             bool pending = false;
             std::vector<SwitchId> tentative;
@@ -174,8 +174,13 @@ TEST_F(CostDeltaFixture, FuzzedMoveSequencesMatchFullRecomputeBitForBit) {
                   state_, std::span<const SlotMove>(moves.data(), count), ws);
               const auto moved_nodes =
                   materialize(tree_, shadow, tentative);
+              // Odd iterations price the oracle on the session's own
+              // workspace, between cost_delta and delta_commit, as
+              // SaAllocator's verify_stride does: candidate_cost must leave
+              // the session's table alone.
+              CostWorkspace& oracle_ws = it % 2 == 1 ? ws : full_ws;
               EXPECT_EQ(delta, model.candidate_cost(state_, moved_nodes, true,
-                                                    profile, full_ws))
+                                                    profile, oracle_ws))
                   << label << "/it=" << it;
               pending = true;
               // Commit roughly half the evaluations; the rest stay
@@ -185,7 +190,7 @@ TEST_F(CostDeltaFixture, FuzzedMoveSequencesMatchFullRecomputeBitForBit) {
                 committed = tentative;
                 EXPECT_EQ(model.delta_total(ws),
                           model.candidate_cost(state_, moved_nodes, true,
-                                               profile, full_ws))
+                                               profile, oracle_ws))
                     << label << "/it=" << it;
                 pending = false;
               }

@@ -171,7 +171,7 @@ TEST(CostProfileLargeTest, FourThousandRankAlltoallMatchesStreamedReference) {
       state, nodes, /*comm_intensive=*/true, profile, ws);
 
   LeafOverlay overlay(tree);
-  overlay.add_nodes(tree, nodes, rpn);
+  for (int r = 0; r < rpn; ++r) overlay.add_nodes(tree, nodes);
   double streamed = 0.0;
   for_each_schedule_step(
       Pattern::kPairwiseAlltoall, profile.nprocs, msize,
