@@ -7,7 +7,8 @@
 // Writes BENCH_campaign.json at the CWD (run from the repo root). The
 // recorded speedup is honest wall-clock on the current machine; on a
 // single-hardware-thread container the two timings are expected to tie, so
-// the JSON also records hardware_concurrency for interpretation.
+// the JSON also records the host, its nproc and the commit for
+// interpretation.
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
@@ -19,6 +20,7 @@
 
 #include "exp/campaign.hpp"
 #include "exp/emit.hpp"
+#include "host_info.hpp"
 #include "metrics/summary.hpp"
 #include "util/strings.hpp"
 
@@ -66,7 +68,6 @@ int main() {
     }
     return 8;
   }();
-  const unsigned hardware = std::thread::hardware_concurrency();
   const std::vector<exp::MachineCase> machines = exp::paper_machines();
 
   // Warm-up pass so page-cache and allocator effects do not bias the
@@ -94,8 +95,10 @@ int main() {
   std::ofstream json("BENCH_campaign.json");
   json << "{\n"
        << "  \"campaign\": \"fig6 grid (3 logs x sets A-E x 4 policies)\",\n"
+       << "  \"host\": \"" << cpu_model() << "\",\n"
+       << "  \"nproc\": " << std::thread::hardware_concurrency() << ",\n"
+       << "  \"commit\": \"" << source_commit() << "\",\n"
        << "  \"cells\": " << serial.cells << ",\n"
-       << "  \"hardware_concurrency\": " << hardware << ",\n"
        << "  \"threads_compared\": [1, " << wide << "],\n"
        << "  \"seconds_1_thread\": " << cell(serial.seconds, 3) << ",\n"
        << "  \"seconds_" << wide << "_threads\": "
@@ -104,7 +107,7 @@ int main() {
        << "  \"bit_identical_csv\": " << (identical ? "true" : "false")
        << ",\n"
        << "  \"note\": \"wall-clock on this machine; speedup tracks "
-          "min(workers, hardware_concurrency) because cells are "
+          "min(workers, nproc) because cells are "
           "embarrassingly parallel\"\n"
        << "}\n";
   if (!json) std::cerr << "could not write BENCH_campaign.json\n";

@@ -25,11 +25,13 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "exp/campaign.hpp"
 #include "exp/emit.hpp"
+#include "host_info.hpp"
 #include "metrics/extended.hpp"
 #include "metrics/summary.hpp"
 #include "util/json.hpp"
@@ -155,6 +157,9 @@ int main() {
     return 1;
   }
   json << "{\n  \"bench\": \"interference\",\n"
+       << "  \"host\": \"" << cpu_model() << "\",\n"
+       << "  \"nproc\": " << std::thread::hardware_concurrency() << ",\n"
+       << "  \"commit\": \"" << source_commit() << "\",\n"
        << "  \"machine\": \"Theta\",\n"
        << "  \"mix\": \"RHVD, 90% comm-intensive, comm fraction 0.8\",\n"
        << "  \"model\": \"dynamic leaf-load degradation "

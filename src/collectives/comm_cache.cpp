@@ -407,20 +407,6 @@ std::size_t CommCache::ProfileKeyHash::operator()(
   return static_cast<std::size_t>(h);
 }
 
-const CommSchedule& CommCache::schedule(Pattern pattern, int nprocs) {
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(pattern) << 32) |
-      static_cast<std::uint64_t>(static_cast<std::uint32_t>(nprocs));
-  const auto it = schedules_.find(key);
-  if (it != schedules_.end()) {
-    ++stats_.schedule_hits;
-    return it->second;
-  }
-  ++stats_.schedule_misses;
-  return schedules_.emplace(key, make_schedule(pattern, nprocs, base_msize_))
-      .first->second;
-}
-
 // contract-trusted: no-alloc: memoizing run-wide cache; allocates only on
 // the first sighting of a (pattern, shape) pair, steady-state lookups are
 // hit-only (see stats_.profile_hits)

@@ -1,4 +1,4 @@
-// Canonical allocation shapes and the shared schedule/profile cache.
+// Canonical allocation shapes and the shared leaf-comm profile cache.
 //
 // Every allocator prices candidates with Eq. 6 over a collective schedule,
 // but the expensive per-pair work depends only on which *leaf switches* the
@@ -15,9 +15,9 @@
 //                    schedule lowered onto a shape, with same-node/same-leaf
 //                    pair counts and per-step msize — everything Eq. 6 needs,
 //                    computed once per (pattern, ranks_per_node, shape);
-//   CommCache        the per-simulation-run memo of materialized schedules
-//                    and profiles, shared by every allocator and the
-//                    simulator's pricing models (exactly one per run).
+//   CommCache        the per-simulation-run memo of profiles, shared by
+//                    every allocator and the simulator's pricing models
+//                    (exactly one per run).
 //
 // Identical leaf-pair sets recur heavily across the steps of one schedule
 // (e.g. a power-of-two alltoall on an allocation with 2^s nodes per leaf has
@@ -28,7 +28,7 @@
 // pairs) — independent of the rank count for a fixed leaf footprint.
 //
 // CommCache is NOT thread-safe: callers that share one across threads must
-// synchronize externally (profiles/schedules can be pre-warmed and then read
+// synchronize externally (profiles can be pre-warmed and then read
 // concurrently, since returned references are stable).
 #pragma once
 
@@ -117,21 +117,16 @@ LeafCommProfile make_leaf_comm_profile(Pattern pattern, double base_msize,
                                        const ShapeKey& shape,
                                        int ranks_per_node);
 
-/// Memoizing store for materialized schedules and leaf-comm profiles. One
-/// instance is shared per simulation run (simulator, its allocator, and its
-/// pricing models all point at the same cache). base_msize is fixed at
-/// construction — schedules and profiles depend on (pattern, nprocs) /
-/// (pattern, ranks_per_node, shape) beyond it. Returned references stay
-/// valid for the cache's lifetime (node-based map storage).
+/// Memoizing store for leaf-comm profiles. One instance is shared per
+/// simulation run (simulator, its allocator, and its pricing models all
+/// point at the same cache). base_msize is fixed at construction — profiles
+/// depend on (pattern, ranks_per_node, shape) beyond it. Returned references
+/// stay valid for the cache's lifetime (node-based map storage).
 class CommCache {
  public:
   explicit CommCache(double base_msize) : base_msize_(base_msize) {}
 
   double base_msize() const noexcept { return base_msize_; }
-
-  /// Materialized schedule (kPairwiseAlltoall capped at
-  /// kMaxMaterializedAlltoallRanks — use profiles beyond that).
-  const CommSchedule& schedule(Pattern pattern, int nprocs);
 
   /// Leaf-comm profile for a canonical shape at `ranks_per_node` ranks per
   /// node. Uncapped: profiles never materialize rank pairs.
@@ -139,8 +134,6 @@ class CommCache {
                                  const ShapeKey& shape);
 
   struct Stats {
-    std::uint64_t schedule_hits = 0;
-    std::uint64_t schedule_misses = 0;
     std::uint64_t profile_hits = 0;
     std::uint64_t profile_misses = 0;
   };
@@ -159,8 +152,6 @@ class CommCache {
 
   double base_msize_;
   Stats stats_;
-  // key: (pattern << 32) | nprocs
-  std::unordered_map<std::uint64_t, CommSchedule> schedules_;
   std::unordered_map<ProfileKey, LeafCommProfile, ProfileKeyHash> profiles_;
 };
 

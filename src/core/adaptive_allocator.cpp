@@ -19,13 +19,14 @@ bool AdaptiveAllocator::select_into(const ClusterState& state,
   const bool have_greedy = greedy_.select_into(state, request, greedy_pick_);
   const bool have_balanced =
       balanced_.select_into(state, request, balanced_pick_);
+  last_has_cost_ = false;
+  last_cost_ = 0.0;
   if (!have_greedy && !have_balanced) {
     out.clear();
     return false;
   }
   if (!have_greedy || !have_balanced) {
     last_chose_balanced_ = !have_greedy;
-    last_cost_ = 0.0;
     out = have_greedy ? greedy_pick_ : balanced_pick_;
     return true;
   }
@@ -51,6 +52,7 @@ bool AdaptiveAllocator::select_into(const ClusterState& state,
 
   last_chose_balanced_ = choose_balanced;
   last_cost_ = choose_balanced ? balanced_cost : greedy_cost;
+  last_has_cost_ = true;
   out = choose_balanced ? balanced_pick_ : greedy_pick_;
   return true;
 }

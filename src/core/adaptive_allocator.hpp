@@ -26,7 +26,7 @@ class AdaptiveAllocator final : public Allocator {
  public:
   /// `cost_options` selects the candidate-pricing variant (Eq. 6 hops by
   /// default; hop-bytes for the ablation in bench_ablation). `cache` is the
-  /// run-wide schedule/profile cache; when null the allocator owns a private
+  /// run-wide profile cache; when null the allocator owns a private
   /// one (standalone construction in tests/benches).
   explicit AdaptiveAllocator(CostOptions cost_options = {},
                              std::shared_ptr<CommCache> cache = nullptr);
@@ -37,10 +37,12 @@ class AdaptiveAllocator final : public Allocator {
                    const AllocationRequest& request,
                    std::vector<NodeId>& out) const override;
 
-  /// Cost of the candidate chosen by the last select() call, and whether
-  /// balanced won (diagnostics for the benches; meaningful only directly
-  /// after a successful select()).
+  /// Cost of the candidate chosen by the last select() call, whether it
+  /// priced one (only when both greedy and balanced produced a candidate),
+  /// and whether balanced won (meaningful only directly after a successful
+  /// select()).
   double last_cost() const noexcept { return last_cost_; }
+  bool last_has_cost() const noexcept { return last_has_cost_; }
   bool last_chose_balanced() const noexcept { return last_chose_balanced_; }
 
  private:
@@ -54,6 +56,8 @@ class AdaptiveAllocator final : public Allocator {
   // workspace: post-hoc diagnostics of the last select(), written once per
   // call and only read back through the accessors above.
   mutable double last_cost_ = 0.0;
+  // workspace: see last_cost_.
+  mutable bool last_has_cost_ = false;
   // workspace: see last_cost_.
   mutable bool last_chose_balanced_ = false;
   // workspace: candidate buffers reused across const select_into() calls;

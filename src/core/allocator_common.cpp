@@ -1,5 +1,7 @@
 #include "core/allocator_common.hpp"
 
+#include <algorithm>
+
 #include "util/assert.hpp"
 
 namespace commsched {
@@ -21,17 +23,44 @@ SwitchId find_lowest_level_switch(const ClusterState& state, int num_nodes) {
 }
 
 // hot-path: no-alloc
-void take_free_nodes(const ClusterState& state, SwitchId leaf, int count,
-                     std::vector<NodeId>& out) {
-  COMMSCHED_ASSERT_GE(count, 0);
-  if (count == 0) return;
-  // The per-leaf free index lists the leaf's free nodes ascending, which is
-  // exactly the order the old is_free() scan over nodes_of_leaf() produced.
-  const std::span<const NodeId> free = state.free_leaf_span(leaf);
-  COMMSCHED_ASSERT_MSG(static_cast<std::size_t>(count) <= free.size(),
-                       "leaf has fewer free nodes than requested");
+bool order_fit_leaves(const ClusterState& state, int num_nodes, LeafKey key,
+                      bool descending, std::vector<SwitchId>& leaves) {
+  leaves.clear();
+  const SwitchId top = find_lowest_level_switch(state, num_nodes);
+  if (top == kInvalidSwitch) return false;
+  for (const SwitchId l : state.tree().leaves_under(top))
+    // contract-trusted: no-alloc: member scratch reuses capacity across calls
+    if (state.leaf_free(l) > 0) leaves.push_back(l);
+  // The switch-id tie-break makes the order total, so std::sort (which,
+  // unlike std::stable_sort, needs no temporary buffer) is deterministic.
+  std::sort(leaves.begin(), leaves.end(), [&](SwitchId a, SwitchId b) {
+    const double ka = key(state, a);
+    const double kb = key(state, b);
+    if (ka != kb) return descending ? ka > kb : ka < kb;
+    return a < b;
+  });
+  return true;
+}
+
+// hot-path: no-alloc
+void fill_leaves(const ClusterState& state, std::span<const SwitchId> leaves,
+                 int num_nodes, std::vector<NodeId>& out) {
   // contract-trusted: no-alloc: caller scratch reuses reserved capacity
-  out.insert(out.end(), free.begin(), free.begin() + count);
+  out.reserve(out.size() + static_cast<std::size_t>(num_nodes));
+  for (const SwitchId leaf : leaves) {
+    if (num_nodes == 0) return;
+    const int take = std::min(state.leaf_free(leaf), num_nodes);
+    take_free_nodes(state, leaf, take, out);
+    num_nodes -= take;
+  }
+  COMMSCHED_ASSERT_EQ_MSG(num_nodes, 0,
+                          "lowest-level switch reported enough free nodes "
+                          "but leaves did not provide them");
+}
+
+// hot-path: no-alloc
+double free_count(const ClusterState& state, SwitchId leaf) {
+  return state.leaf_free(leaf);
 }
 
 // hot-path: no-alloc
@@ -54,6 +83,23 @@ double profiled_candidate_cost(const CostModel& model, CommCache& cache,
       cache.profile(pattern, /*ranks_per_node=*/1, shape);
   return model.candidate_cost(state, nodes, comm_intensive, profile,
                               workspace);
+}
+
+// Kept last in the file: the analyzer reads a `contract-trusted` comment up
+// to five lines above a signature as trusting that whole function, and this
+// body ends in one.
+// hot-path: no-alloc
+void take_free_nodes(const ClusterState& state, SwitchId leaf, int count,
+                     std::vector<NodeId>& out) {
+  COMMSCHED_ASSERT_GE(count, 0);
+  if (count == 0) return;
+  // The per-leaf free index lists the leaf's free nodes ascending, which is
+  // exactly the order the old is_free() scan over nodes_of_leaf() produced.
+  const std::span<const NodeId> free = state.free_leaf_span(leaf);
+  COMMSCHED_ASSERT_MSG(static_cast<std::size_t>(count) <= free.size(),
+                       "leaf has fewer free nodes than requested");
+  // contract-trusted: no-alloc: caller scratch reuses reserved capacity
+  out.insert(out.end(), free.begin(), free.begin() + count);
 }
 
 }  // namespace commsched

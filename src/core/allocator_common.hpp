@@ -1,4 +1,4 @@
-// Shared building blocks of the four allocation policies.
+// Shared building blocks of the allocation policies.
 #pragma once
 
 #include <span>
@@ -21,6 +21,26 @@ SwitchId find_lowest_level_switch(const ClusterState& state, int num_nodes);
 /// `out`. Requires leaf_free(leaf) >= count.
 void take_free_nodes(const ClusterState& state, SwitchId leaf, int count,
                      std::vector<NodeId>& out);
+
+/// A per-leaf ordering key for order_fit_leaves.
+using LeafKey = double (*)(const ClusterState& state, SwitchId leaf);
+
+/// The topology/tree skeleton that stock SLURM and the paper's policies
+/// share (§3.1): the leaves with free nodes under
+/// find_lowest_level_switch(num_nodes) (just that leaf when the switch is a
+/// leaf), written to `leaves` ordered by `key`, ascending or descending,
+/// ties by switch id. Returns false, with `leaves` empty, when nothing fits.
+bool order_fit_leaves(const ClusterState& state, int num_nodes, LeafKey key,
+                      bool descending, std::vector<SwitchId>& leaves);
+
+/// Append `num_nodes` free nodes to `out`, taking each leaf of `leaves` in
+/// turn as far as it goes, lowest node ids first. Requires the leaves to
+/// hold at least `num_nodes` free nodes between them.
+void fill_leaves(const ClusterState& state, std::span<const SwitchId> leaves,
+                 int num_nodes, std::vector<NodeId>& out);
+
+/// Free nodes on `leaf`: stock best-fit's key and Algorithm 2's.
+double free_count(const ClusterState& state, SwitchId leaf);
 
 /// Paper Eq. 1: communication ratio of a leaf switch,
 ///   L_comm / L_busy + L_busy / L_nodes.

@@ -27,8 +27,8 @@ enum class AllocatorKind : int {
   /// contention model. Also outside kAllAllocatorKinds.
   kIoAware = 5,
   /// Search-based extension (DESIGN.md "Delta-cost evaluation & search
-  /// allocators"): greedy/balanced seeding + simulated annealing over slot
-  /// moves. Outside kAllAllocatorKinds (not a paper policy).
+  /// allocators"): adaptive seeding + simulated annealing over slot moves.
+  /// Outside kAllAllocatorKinds (not a paper policy).
   kSa = 6,
 };
 
@@ -57,9 +57,8 @@ std::string allocator_kind_names();
 
 /// Instantiate a policy. `cost_options` only affects the pricing policies
 /// (adaptive, I/O-aware, sa); `sa` only the sa policy. `cache` is the
-/// run-wide schedule/profile cache those policies should share with their
-/// caller (e.g. the simulator); when null, pricing policies create a
-/// private one.
+/// run-wide profile cache those policies should share with their caller
+/// (e.g. the simulator); when null, pricing policies create a private one.
 std::unique_ptr<Allocator> make_allocator(
     AllocatorKind kind, CostOptions cost_options = {},
     std::shared_ptr<CommCache> cache = nullptr, const SaOptions& sa = {});

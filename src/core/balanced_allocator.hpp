@@ -7,7 +7,9 @@
 // shortfall after the power-of-two pass is topped up from the same leaves in
 // reverse order (Algorithm 2 lines 22-27).  Compute-intensive jobs instead
 // fill the emptiest-last (ascending free count) so large free blocks survive
-// for communicating jobs.
+// for communicating jobs, which is stock best-fit (lines 30-35).  Both
+// branches order leaves through allocator_common's order_fit_leaves; the
+// compute branch fills through its fill_leaves.
 #pragma once
 
 #include "core/allocator.hpp"

@@ -1,9 +1,6 @@
 #include "core/default_allocator.hpp"
 
-#include <algorithm>
-
 #include "core/allocator_common.hpp"
-#include "util/assert.hpp"
 
 namespace commsched {
 
@@ -12,42 +9,13 @@ bool DefaultAllocator::select_into(const ClusterState& state,
                                    const AllocationRequest& request,
                                    std::vector<NodeId>& out) const {
   out.clear();
-  const SwitchId root_switch = find_lowest_level_switch(state, request.num_nodes);
-  if (root_switch == kInvalidSwitch) return false;
-
-  // contract-trusted: no-alloc: caller scratch reuses reserved capacity
-  out.reserve(static_cast<std::size_t>(request.num_nodes));
-  if (state.tree().is_leaf(root_switch)) {
-    take_free_nodes(state, root_switch, request.num_nodes, out);
-    return true;
-  }
-
   // Best-fit across the leaves under the chosen switch: fewest free nodes
   // first, so large contiguous blocks stay available for later jobs.
-  auto& leaf_order = leaf_order_;
-  leaf_order.clear();
-  for (const SwitchId l : state.tree().leaves_under(root_switch))
-    // contract-trusted: no-alloc: member scratch reuses capacity across calls
-    if (state.leaf_free(l) > 0) leaf_order.push_back(l);
-  std::stable_sort(leaf_order.begin(), leaf_order.end(),
-                   [&](SwitchId a, SwitchId b) {
-                     const int fa = state.leaf_free(a);
-                     const int fb = state.leaf_free(b);
-                     if (fa != fb) return fa < fb;
-                     return a < b;
-                   });
-
-  int remaining = request.num_nodes;
-  for (const SwitchId leaf : leaf_order) {
-    const int take = std::min(state.leaf_free(leaf), remaining);
-    take_free_nodes(state, leaf, take, out);
-    remaining -= take;
-    if (remaining == 0) return true;
-  }
-  COMMSCHED_ASSERT_MSG(false,
-                       "lowest-level switch reported enough free nodes but "
-                       "leaves did not provide them");
-  return false;
+  if (!order_fit_leaves(state, request.num_nodes, free_count,
+                        /*descending=*/false, leaf_order_))
+    return false;
+  fill_leaves(state, leaf_order_, request.num_nodes, out);
+  return true;
 }
 
 }  // namespace commsched

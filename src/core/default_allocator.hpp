@@ -1,7 +1,8 @@
 // SLURM's stock topology/tree + select/linear policy (§3.1) — the paper's
 // baseline.  Finds the lowest-level switch with enough free nodes, then
 // fills leaf switches under it best-fit (fewest free nodes first) to limit
-// fragmentation.  Job characteristics are ignored, exactly as in stock SLURM.
+// fragmentation; both steps are allocator_common's order_fit_leaves and
+// fill_leaves.  Job characteristics are ignored, exactly as in stock SLURM.
 #pragma once
 
 #include "core/allocator.hpp"

@@ -40,7 +40,7 @@ bool ExclusiveAllocator::select_into(const ClusterState& state,
   for (const SwitchId leaf : tree.leaves())
     // contract-trusted: no-alloc: member scratch reuses capacity across calls
     if (state.leaf_busy(leaf) == 0) idle.push_back(leaf);
-  std::stable_sort(idle.begin(), idle.end(), [&](SwitchId a, SwitchId b) {
+  std::sort(idle.begin(), idle.end(), [&](SwitchId a, SwitchId b) {
     const int na = state.leaf_nodes(a);
     const int nb = state.leaf_nodes(b);
     if (na != nb) return na > nb;

@@ -1,9 +1,6 @@
 #include "core/greedy_allocator.hpp"
 
-#include <algorithm>
-
 #include "core/allocator_common.hpp"
-#include "util/assert.hpp"
 
 namespace commsched {
 
@@ -12,45 +9,15 @@ bool GreedyAllocator::select_into(const ClusterState& state,
                                   const AllocationRequest& request,
                                   std::vector<NodeId>& out) const {
   out.clear();
-  const SwitchId top = find_lowest_level_switch(state, request.num_nodes);
-  if (top == kInvalidSwitch) return false;
-
-  // contract-trusted: no-alloc: caller scratch reuses reserved capacity
-  out.reserve(static_cast<std::size_t>(request.num_nodes));
-  // Algorithm 1 lines 3-5: a single leaf satisfies the whole request.
-  if (state.tree().is_leaf(top)) {
-    take_free_nodes(state, top, request.num_nodes, out);
-    return true;
-  }
-
-  // Lines 7-10: order leaves by communication ratio; ascending for
-  // communication-intensive jobs, descending otherwise.
-  auto& leaf_order = leaf_order_;
-  leaf_order.clear();
-  for (const SwitchId l : state.tree().leaves_under(top))
-    // contract-trusted: no-alloc: member scratch reuses capacity across calls
-    if (state.leaf_free(l) > 0) leaf_order.push_back(l);
-  std::stable_sort(leaf_order.begin(), leaf_order.end(),
-                   [&](SwitchId a, SwitchId b) {
-                     const double ra = communication_ratio(state, a);
-                     const double rb = communication_ratio(state, b);
-                     if (ra != rb)
-                       return request.comm_intensive ? ra < rb : ra > rb;
-                     return a < b;
-                   });
-
+  // Algorithm 1 lines 7-10: order leaves by communication ratio; ascending
+  // for communication-intensive jobs, descending otherwise. Lines 3-5 (one
+  // leaf holds the request) are the one-leaf case of the same order.
+  if (!order_fit_leaves(state, request.num_nodes, communication_ratio,
+                        /*descending=*/!request.comm_intensive, leaf_order_))
+    return false;
   // Lines 11-18: fill leaves in sorted order.
-  int remaining = request.num_nodes;
-  for (const SwitchId leaf : leaf_order) {
-    const int take = std::min(state.leaf_free(leaf), remaining);
-    take_free_nodes(state, leaf, take, out);
-    remaining -= take;
-    if (remaining == 0) return true;
-  }
-  COMMSCHED_ASSERT_MSG(false,
-                       "lowest-level switch reported enough free nodes but "
-                       "leaves did not provide them");
-  return false;
+  fill_leaves(state, leaf_order_, request.num_nodes, out);
+  return true;
 }
 
 }  // namespace commsched

@@ -4,7 +4,8 @@
 // communication ratio (Eq. 1): ascending for communication-intensive jobs
 // (least-contended, emptiest leaves first) and descending for
 // compute-intensive jobs (so quiet leaves stay available for communicating
-// jobs), then fills leaves in that order.
+// jobs), then fills leaves in that order, through allocator_common's
+// order_fit_leaves and fill_leaves.
 #pragma once
 
 #include "core/allocator.hpp"

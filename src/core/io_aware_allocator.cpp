@@ -39,7 +39,7 @@ bool IoAwareAllocator::spread_into(const ClusterState& state, int num_nodes,
   for (const SwitchId l : tree.leaves())
     // contract-trusted: no-alloc: caller scratch reuses reserved capacity
     if (state.leaf_free(l) > 0) order.push_back(l);
-  std::stable_sort(order.begin(), order.end(), [&](SwitchId a, SwitchId b) {
+  std::sort(order.begin(), order.end(), [&](SwitchId a, SwitchId b) {
     const double ia = static_cast<double>(state.leaf_io(a)) / state.leaf_nodes(a);
     const double ib = static_cast<double>(state.leaf_io(b)) / state.leaf_nodes(b);
     if (ia != ib) return ia < ib;

@@ -30,8 +30,8 @@ namespace commsched {
 
 class IoAwareAllocator final : public Allocator {
  public:
-  /// `cache` is the run-wide schedule/profile cache; when null the allocator
-  /// owns a private one (standalone construction in tests/benches).
+  /// `cache` is the run-wide profile cache; when null the allocator owns a
+  /// private one (standalone construction in tests/benches).
   explicit IoAwareAllocator(CostOptions cost_options = {.hop_bytes = true},
                             std::shared_ptr<CommCache> cache = nullptr);
 

@@ -30,13 +30,14 @@ SaAllocator::SaAllocator(CostOptions cost_options, SaOptions options,
                          std::shared_ptr<CommCache> cache)
     : cost_options_(cost_options),
       options_(options),
-      cache_(std::move(cache)) {
+      cache_(cache ? std::move(cache)
+                   : std::make_shared<CommCache>(double{1 << 20})),
+      adaptive_(cost_options, cache_) {
   COMMSCHED_ASSERT_MSG(options_.cooling > 0.0 && options_.cooling <= 1.0,
                        "sa cooling factor must be in (0, 1]");
   COMMSCHED_ASSERT_GE(options_.init_temp_frac, 0.0);
   COMMSCHED_ASSERT_GE(options_.patience, 0);
   COMMSCHED_ASSERT_GE(options_.verify_stride, 0);
-  if (!cache_) cache_ = std::make_shared<CommCache>(double{1 << 20});
   switch (options_.proposal) {
     case SaProposalKind::kUniform:
       policy_ = std::make_unique<UniformProposalPolicy>();
@@ -63,71 +64,38 @@ bool SaAllocator::select_into(const ClusterState& state,
   last_cost_ = 0.0;
   last_proposals_ = 0;
   last_accepts_ = 0;
-  const bool have_greedy = greedy_.select_into(state, request, greedy_pick_);
-  const bool have_balanced =
-      balanced_.select_into(state, request, balanced_pick_);
-  if (!have_greedy && !have_balanced) {
+  // Compute-intensive: adaptive's rule (§4.3) as is. No anneal: the job is
+  // placement-insensitive.
+  if (!request.comm_intensive)
+    return adaptive_.select_into(state, request, out);
+  if (!adaptive_.select_into(state, request, seed_)) {
     out.clear();
     return false;
   }
 
+  // Communication-intensive: anneal from adaptive's pick, at the cost
+  // adaptive priced it (it prices nothing when only one candidate existed).
   const CostModel model(state.tree(), cost_options_);
-  if (!request.comm_intensive) {
-    // Compute-intensive: adaptive's rule (§4.3) — take the pricier
-    // candidate so the cheap placement stays free for communicating jobs
-    // (ties to balanced). No anneal: the job is placement-insensitive.
-    if (!have_greedy || !have_balanced) {
-      out = have_greedy ? greedy_pick_ : balanced_pick_;
-      return true;
-    }
-    const double greedy_cost =
-        profiled_candidate_cost(model, *cache_, state, greedy_pick_,
-                                /*comm_intensive=*/false, request.pattern,
-                                workspace_);
-    const double balanced_cost =
-        profiled_candidate_cost(model, *cache_, state, balanced_pick_,
-                                /*comm_intensive=*/false, request.pattern,
-                                workspace_);
-    out = balanced_cost >= greedy_cost ? balanced_pick_ : greedy_pick_;
-    return true;
-  }
-
-  // Communication-intensive: keep the cheaper seed (ties to balanced,
-  // mirroring adaptive), then anneal from it.
-  const std::vector<NodeId>* seed = nullptr;
-  double seed_cost = 0.0;
-  if (have_greedy && have_balanced) {
-    const double greedy_cost =
-        profiled_candidate_cost(model, *cache_, state, greedy_pick_,
-                                /*comm_intensive=*/true, request.pattern,
-                                workspace_);
-    const double balanced_cost =
-        profiled_candidate_cost(model, *cache_, state, balanced_pick_,
-                                /*comm_intensive=*/true, request.pattern,
-                                workspace_);
-    const bool choose_balanced = balanced_cost <= greedy_cost;
-    seed = choose_balanced ? &balanced_pick_ : &greedy_pick_;
-    seed_cost = choose_balanced ? balanced_cost : greedy_cost;
-  } else {
-    seed = have_greedy ? &greedy_pick_ : &balanced_pick_;
-    seed_cost = profiled_candidate_cost(model, *cache_, state, *seed,
-                                        /*comm_intensive=*/true,
-                                        request.pattern, workspace_);
-  }
+  const double seed_cost =
+      adaptive_.last_has_cost()
+          ? adaptive_.last_cost()
+          : profiled_candidate_cost(model, *cache_, state, seed_,
+                                    /*comm_intensive=*/true, request.pattern,
+                                    workspace_);
   last_cost_ = seed_cost;
   last_has_cost_ = true;
 
   // contract-trusted: no-alloc: ShapeKey derivation and one-time profile
   // construction are the same cached pricing path every profiled policy
   // uses (allocator_common::profiled_candidate_cost)
-  const ShapeKey shape = make_shape_key(state.tree(), *seed);
+  const ShapeKey shape = make_shape_key(state.tree(), seed_);
   const LeafCommProfile& profile =
       cache_->profile(request.pattern, /*ranks_per_node=*/1, shape);
   if (options_.budget <= 0 || profile.steps.empty()) {
-    out = *seed;
+    out = seed_;
     return true;
   }
-  anneal(state, request, model, profile, shape, *seed, seed_cost, out);
+  anneal(state, request, model, profile, shape, seed_, seed_cost, out);
   return true;
 }
 

@@ -3,14 +3,15 @@
 //
 // The paper's policies (greedy/balanced/adaptive, §4) are one-shot
 // constructive heuristics. This allocator treats placement as a search
-// problem: it seeds from the greedy and balanced candidates, keeps the
-// cheaper one (Eq. 6 over the job's collective schedule), and then anneals
-// over leaf reassignments and two-slot swaps, pricing every move with
+// problem: it seeds from adaptive's pick (§4.3: the cheaper of the greedy
+// and balanced candidates under Eq. 6), and then anneals over leaf
+// reassignments and two-slot swaps, pricing every move with
 // CostModel::cost_delta — O(affected leaf pairs) per evaluation, which is
 // what makes thousands of candidate evaluations per select() affordable.
 // The final answer is the best placement *seen* during the walk, so for
-// communication-intensive jobs the result is never costlier than the better
-// of its seeds (bit-for-bit: seed and anneal price through the same kernel).
+// communication-intensive jobs the result is never costlier than adaptive's
+// (bit-for-bit: seed and anneal price through the same kernel).
+// Compute-intensive jobs get adaptive's pick unchanged.
 //
 // Moves relocate whole leaf slots (every node of one ShapeKey slot to a
 // currently slot-free leaf), which preserves the allocation's canonical
@@ -28,10 +29,9 @@
 #include <vector>
 
 #include "collectives/comm_cache.hpp"
+#include "core/adaptive_allocator.hpp"
 #include "core/allocator.hpp"
-#include "core/balanced_allocator.hpp"
 #include "core/cost_model.hpp"
-#include "core/greedy_allocator.hpp"
 #include "core/proposal_policy.hpp"
 
 namespace commsched {
@@ -50,7 +50,7 @@ std::optional<SaProposalKind> sa_proposal_kind_from_string(
 /// Annealing knobs (slurm.conf: SelectTypeParameters=sa,sa_budget=...).
 struct SaOptions {
   /// Proposals (cost evaluations) per communication-intensive select().
-  /// <= 0 disables the anneal: the allocator returns its cheaper seed.
+  /// <= 0 disables the anneal: the allocator returns its seed.
   int budget = 1200;
   /// Base seed; each job's stream is splitmix64(seed ^ splitmix64(job)), so
   /// per-job randomness is stateless across select() calls.
@@ -70,8 +70,8 @@ struct SaOptions {
   int verify_stride = 0;
 };
 
-/// Search-based allocator: greedy/balanced seeding + simulated annealing
-/// over slot moves, priced through the delta-cost session.
+/// Search-based allocator: adaptive seeding + simulated annealing over slot
+/// moves, priced through the delta-cost session.
 class SaAllocator final : public Allocator {
  public:
   explicit SaAllocator(CostOptions cost_options = {}, SaOptions options = {},
@@ -110,21 +110,20 @@ class SaAllocator final : public Allocator {
                    std::span<const SwitchId> leaf_assign,
                    std::vector<NodeId>& out) const;
 
-  GreedyAllocator greedy_;
-  BalancedAllocator balanced_;
   CostOptions cost_options_;
   SaOptions options_;
   std::shared_ptr<CommCache> cache_;
+  // Prices through the same CostOptions and cache_, so its seed cost is the
+  // one the anneal starts from.
+  AdaptiveAllocator adaptive_;
   std::unique_ptr<ProposalPolicy> policy_;
 
   // workspace: cost-kernel + delta-session scratch reused across const
   // select() calls; observable state is untouched (CostModel is stateless).
   mutable CostWorkspace workspace_;
-  // workspace: seed candidate buffers, overwritten by the nested policies on
-  // every select_into() entry.
-  mutable std::vector<NodeId> greedy_pick_;
-  // workspace: see greedy_pick_.
-  mutable std::vector<NodeId> balanced_pick_;
+  // workspace: adaptive's pick for a communication-intensive job,
+  // overwritten on every such select_into() entry.
+  mutable std::vector<NodeId> seed_;
   // workspace: per-anneal slot state (current/original/best leaf per slot,
   // node counts), rebuilt at every anneal entry.
   mutable std::vector<SwitchId> cur_leaf_;

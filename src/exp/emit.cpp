@@ -22,8 +22,7 @@ TextTable campaign_table(const CampaignResult& result) {
   table.set_header({"machine", "mix", "allocator", "variant", "base_seed",
                     "mix_seed", "jobs", "exec_h", "wait_h", "turnaround_h",
                     "node_h", "total_cost", "avg_cost", "makespan_h",
-                    "sched_hit", "sched_miss", "prof_hit", "prof_miss",
-                    "prof_hit_rate"});
+                    "prof_hit", "prof_miss", "prof_hit_rate"});
   for (const CellResult& c : result.cells) {
     const RunSummary& s = c.summary;
     table.add_row({c.machine, c.mix, c.allocator, c.variant,
@@ -33,8 +32,6 @@ TextTable campaign_table(const CampaignResult& result) {
                    cell(s.avg_turnaround_hours, 3), cell(s.total_node_hours, 1),
                    cell(s.total_cost, 1), cell(s.avg_cost, 2),
                    cell(s.makespan_hours, 2),
-                   std::to_string(s.cache.schedule_hits),
-                   std::to_string(s.cache.schedule_misses),
                    std::to_string(s.cache.profile_hits),
                    std::to_string(s.cache.profile_misses),
                    cell(s.cache.profile_hit_rate(), 4)});

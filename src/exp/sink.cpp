@@ -63,9 +63,7 @@ std::string summary_json(const RunSummary& s) {
 
 std::string cache_json(const CacheStats& c) {
   std::string out = "{";
-  out += "\"sched_hit\":" + std::to_string(c.schedule_hits);
-  out += ",\"sched_miss\":" + std::to_string(c.schedule_misses);
-  out += ",\"prof_hit\":" + std::to_string(c.profile_hits);
+  out += "\"prof_hit\":" + std::to_string(c.profile_hits);
   out += ",\"prof_miss\":" + std::to_string(c.profile_misses);
   out += "}";
   return out;
@@ -89,8 +87,6 @@ RunSummary parse_summary(const JsonValue& v) {
 
 CacheStats parse_cache(const JsonValue& v) {
   CacheStats c;
-  c.schedule_hits = v.at("sched_hit").as_uint64();
-  c.schedule_misses = v.at("sched_miss").as_uint64();
   c.profile_hits = v.at("prof_hit").as_uint64();
   c.profile_misses = v.at("prof_miss").as_uint64();
   return c;

@@ -66,7 +66,7 @@ std::vector<IndividualOutcome> run_individual(const Tree& tree,
   Rng rng(options.seed);
   prefill(state, options, rng);
 
-  // One shared schedule/profile cache serves the four policies' internal
+  // One shared profile cache serves the four policies' internal
   // pricing and the probe pricing below.
   const auto cache = std::make_shared<CommCache>(
       probes.empty() ? double{1 << 20} : probes.front().msize);

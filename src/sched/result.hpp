@@ -41,13 +41,11 @@ struct JobResult {
   }
 };
 
-/// Hit/miss counters of the run's shared CommCache (schedule and leaf-comm
-/// profile lookups by the allocator and both pricing models). A plain copy
-/// of CommCache::Stats so result consumers (metrics, exp) do not need the
+/// Hit/miss counters of the run's shared CommCache (leaf-comm profile
+/// lookups by the allocator and both pricing models). A plain copy of
+/// CommCache::Stats so result consumers (metrics, exp) do not need the
 /// collectives headers.
 struct CacheStats {
-  std::uint64_t schedule_hits = 0;
-  std::uint64_t schedule_misses = 0;
   std::uint64_t profile_hits = 0;
   std::uint64_t profile_misses = 0;
 

@@ -269,8 +269,7 @@ class Simulation {
     result.jobs = std::move(results_);
     result.makespan = makespan;
     const CommCache::Stats& cache = comm_cache_->stats();
-    result.cache_stats = {cache.schedule_hits, cache.schedule_misses,
-                          cache.profile_hits, cache.profile_misses};
+    result.cache_stats = {cache.profile_hits, cache.profile_misses};
     return result;
   }
 
@@ -836,7 +835,7 @@ class Simulation {
   const JobLog& log_;
   const SchedOptions& options_;
   ClusterState state_;
-  // The run-wide schedule/profile cache; declared before allocator_ so it
+  // The run-wide profile cache; declared before allocator_ so it
   // exists when make_allocator hands it to the pricing policies. Exactly one
   // per simulation run.
   std::shared_ptr<CommCache> comm_cache_;

@@ -247,18 +247,6 @@ TEST(ScheduleTest, StreamingAlltoallScalesBeyondMaterializationCap) {
   EXPECT_EQ(pairs, 16 * (p / 2));  // perfect matchings
 }
 
-TEST(CommCacheTest, ReturnsStableIdenticalSchedules) {
-  CommCache cache(512.0);
-  const CommSchedule& a = cache.schedule(Pattern::kRecursiveDoubling, 16);
-  const CommSchedule& b = cache.schedule(Pattern::kBinomial, 16);
-  const CommSchedule& a2 = cache.schedule(Pattern::kRecursiveDoubling, 16);
-  EXPECT_EQ(&a, &a2);  // memoized
-  EXPECT_NE(&a, &b);
-  EXPECT_EQ(a.size(), 4u);
-  EXPECT_EQ(cache.stats().schedule_misses, 2u);
-  EXPECT_EQ(cache.stats().schedule_hits, 1u);
-}
-
 // ---- Property sweeps over process counts --------------------------------
 
 class PatternSweep

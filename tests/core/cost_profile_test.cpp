@@ -97,7 +97,8 @@ TEST_F(ProfileDiffFixture, CachedProfileStaysCorrectAsStateMutates) {
   const std::vector<NodeId> nodes{12, 13, 14, 15};
   const CostModel model(tree_, CostOptions{.hop_bytes = true});
   CommCache cache(512.0);
-  const auto& schedule = cache.schedule(Pattern::kPairwiseAlltoall, 4);
+  const CommSchedule schedule =
+      make_schedule(Pattern::kPairwiseAlltoall, 4, cache.base_msize());
   const LeafCommProfile& profile = cache.profile(
       Pattern::kPairwiseAlltoall, 1, make_shape_key(tree_, nodes));
   CostWorkspace ws;

@@ -1,9 +1,10 @@
-// Cross-checks the greedy and balanced allocators against independent
-// reimplementations of the paper's Algorithm 1/2 *arithmetic* (how many
-// nodes land on which leaf, given the sorted leaf order). The production
-// code walks node lists and cluster state; the reference model here works
-// purely on (free-count, ratio) tuples — if both agree across randomized
-// states, the production bookkeeping is faithful to the pseudocode.
+// Cross-checks the default, greedy and balanced allocators against
+// independent reimplementations of stock best-fit (§3.1) and the paper's
+// Algorithm 1/2 *arithmetic* (how many nodes land on which leaf, given the
+// sorted leaf order). The production code walks node lists and cluster
+// state; the reference model here works purely on (free-count, ratio)
+// tuples — if both agree across randomized states, the production
+// bookkeeping is faithful to the pseudocode.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 
 #include "core/allocator_common.hpp"
 #include "core/balanced_allocator.hpp"
+#include "core/default_allocator.hpp"
 #include "core/greedy_allocator.hpp"
 #include "topology/builders.hpp"
 #include "util/rng.hpp"
@@ -24,6 +26,30 @@ struct LeafInfo {
   int free;
   double ratio;
 };
+
+// Stock SLURM topology/tree on a two-level tree (§3.1), over abstract leaf
+// tuples: the best-fitting single leaf (fewest free nodes that still hold
+// the request, ties by leaf id) when one exists, else every leaf filled
+// fewest-free-first, ties by leaf id.
+std::map<SwitchId, int> reference_best_fit(std::vector<LeafInfo> leaves,
+                                           int n) {
+  std::sort(leaves.begin(), leaves.end(),
+            [](const LeafInfo& a, const LeafInfo& b) {
+              if (a.free != b.free) return a.free < b.free;
+              return a.leaf < b.leaf;
+            });
+  for (const LeafInfo& leaf : leaves)
+    if (leaf.free >= n) return {{leaf.leaf, n}};
+  std::map<SwitchId, int> out;
+  int remaining = n;
+  for (const LeafInfo& leaf : leaves) {
+    const int take = std::min(leaf.free, remaining);
+    out[leaf.leaf] = take;
+    remaining -= take;
+    if (remaining == 0) break;
+  }
+  return out;
+}
 
 // Algorithm 1 lines 7-18, over abstract leaf tuples.
 std::map<SwitchId, int> reference_greedy(std::vector<LeafInfo> leaves, int n,
@@ -111,13 +137,34 @@ std::map<SwitchId, int> per_leaf(const Tree& tree,
 class ReferenceModelSweep
     : public ::testing::TestWithParam<std::tuple<std::uint64_t, int, bool>> {};
 
+TEST_P(ReferenceModelSweep, DefaultMatchesStockBestFit) {
+  const auto [seed, request, comm] = GetParam();
+  const RandomState rs(seed);
+  if (rs.state.total_free() < request) return;
+
+  AllocationRequest req;
+  req.job = 99;
+  req.num_nodes = request;
+  req.comm_intensive = comm;
+  const DefaultAllocator stock;
+  const auto nodes = stock.select(rs.state, req);
+  ASSERT_TRUE(nodes.has_value());
+  EXPECT_EQ(per_leaf(rs.tree, *nodes),
+            reference_best_fit(rs.leaf_infos(), request));
+  // Algorithm 2 lines 30-35: balanced places a compute job exactly as stock
+  // best-fit does, node for node.
+  if (!comm) {
+    EXPECT_EQ(BalancedAllocator{}.select(rs.state, req), nodes);
+  }
+}
+
 TEST_P(ReferenceModelSweep, GreedyMatchesAlgorithm1Arithmetic) {
   const auto [seed, request, comm] = GetParam();
   const RandomState rs(seed);
   if (rs.state.total_free() < request) return;
   // The reference model covers the multi-leaf path; when a single leaf can
-  // host the request the production code legitimately short-circuits
-  // (Algorithm 1 lines 3-5).
+  // host the request the production code takes just that leaf (Algorithm 1
+  // lines 3-5), which DefaultMatchesStockBestFit covers.
   const SwitchId top = find_lowest_level_switch(rs.state, request);
   if (rs.tree.is_leaf(top)) return;
 

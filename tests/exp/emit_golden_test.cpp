@@ -75,8 +75,6 @@ CampaignResult golden_result() {
   plain.summary.total_cost = 987654.5;
   plain.summary.avg_cost = 18283.45;
   plain.summary.makespan_hours = 48.125;
-  plain.summary.cache.schedule_hits = 100;
-  plain.summary.cache.schedule_misses = 4;
   plain.summary.cache.profile_hits = 5000;
   plain.summary.cache.profile_misses = 250;
   result.cells.push_back(plain);
@@ -101,8 +99,6 @@ CampaignResult golden_result() {
   nasty.summary.total_cost = 9.87e20;
   nasty.summary.avg_cost = 0.125;
   nasty.summary.makespan_hours = 4503599627370497.0;  // 2^52 + 1
-  nasty.summary.cache.schedule_hits = 0;
-  nasty.summary.cache.schedule_misses = 0;
   nasty.summary.cache.profile_hits = 1;
   nasty.summary.cache.profile_misses = 3;
   result.cells.push_back(nasty);

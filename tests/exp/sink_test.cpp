@@ -84,9 +84,7 @@ CellResult nasty_cell() {
   cell.summary.total_cost = 9.87e20;
   cell.summary.avg_cost = 0.1;
   cell.summary.makespan_hours = 4503599627370497.0;  // 2^52 + 1
-  cell.summary.cache.schedule_hits = std::numeric_limits<std::uint64_t>::max();
-  cell.summary.cache.schedule_misses = 0;
-  cell.summary.cache.profile_hits = 123456789012345678ULL;
+  cell.summary.cache.profile_hits = std::numeric_limits<std::uint64_t>::max();
   cell.summary.cache.profile_misses = 42;
   return cell;
 }
@@ -202,11 +200,28 @@ TEST(CellJson, RoundTripsBitForBit) {
   EXPECT_EQ(back.result.summary.total_node_hours,
             cell.summary.total_node_hours);
   EXPECT_EQ(back.result.summary.makespan_hours, cell.summary.makespan_hours);
-  EXPECT_EQ(back.result.summary.cache.schedule_hits,
-            cell.summary.cache.schedule_hits);
   EXPECT_EQ(back.result.summary.cache.profile_hits,
             cell.summary.cache.profile_hits);
+  EXPECT_EQ(back.result.summary.cache.profile_misses,
+            cell.summary.cache.profile_misses);
   // The decisive check: parse -> re-serialize reproduces the exact bytes.
+  EXPECT_EQ(cell_json(31, back.result), line);
+}
+
+TEST(CellJson, ReadsLinesThatStillCarryScheduleCacheKeys) {
+  // Streams written before the schedule memo was removed carry
+  // "sched_hit"/"sched_miss" in each cell's cache object. They still parse
+  // (so a running campaign resumes), and re-serialize without those keys.
+  const CellResult cell = nasty_cell();
+  const std::string line = cell_json(31, cell);
+  const std::string cache_key = "\"cache\":{";
+  const std::size_t at = line.find(cache_key);
+  ASSERT_NE(at, std::string::npos);
+  std::string old_line = line;
+  old_line.insert(at + cache_key.size(),
+                  "\"sched_hit\":18446744073709551615,\"sched_miss\":0,");
+  const StreamedCell back = parse_cell_json(parse_json(old_line));
+  EXPECT_EQ(back.cell_index, 31u);
   EXPECT_EQ(cell_json(31, back.result), line);
 }
 

@@ -4,7 +4,8 @@
 tests/tools/contracts_fixtures/ is a miniature repo tree seeded with one
 violation per rule family the analyzer enforces (DESIGN.md "Effect
 contracts"): a transitive allocation through a helper, a local owning
-container and a std::make_unique<T>() directly in hot-path bodies, a
+container, a std::make_unique<T>() and the buffer-allocating
+std::stable_sort/std::stable_partition directly in hot-path bodies, a
 virtual dispatch to an allocating override, unjustified static and
 mutable state on the
 run_cell worker path, a named thread root whose class lacks the method, a
@@ -45,6 +46,8 @@ EXPECTED_VIOLATIONS = [
     ("no-alloc", "commsched::append_twice",
      ["commsched::hot_entry", "commsched::append_twice"]),
     ("no-alloc", "commsched::box_event", ["commsched::box_event"]),
+    ("no-alloc", "commsched::order_ids", ["commsched::order_ids"]),
+    ("no-alloc", "commsched::order_ids", ["commsched::order_ids"]),
     ("no-alloc", "commsched::sum_event", ["commsched::sum_event"]),
     ("no-alloc-unannotated", "commsched::GrowingPicker::select_into",
      ["commsched::drive", "commsched::GrowingPicker::select_into"]),
@@ -68,6 +71,8 @@ EXPECTED_HOT_ROOTS = [
     "commsched::drive",
     "commsched::hot_entry",
     "commsched::hot_trusted_entry",
+    "commsched::order_ids",
+    "commsched::sort_ids",
     "commsched::sum_event",
 ]
 

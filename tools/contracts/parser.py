@@ -155,10 +155,15 @@ ALLOCATING_RECEIVER_RE = re.compile(
 UNORDERED_TYPE_RE = re.compile(r"\bstd\s*::\s*unordered_(?:map|set|multimap|"
                                r"multiset)\b")
 
+# The three merge-based algorithms build a temporary buffer with operator
+# new on every call (libstdc++'s _Temporary_buffer), however small the range.
 ALLOC_FREE_FUNCTIONS = {
     "make_unique": "std::make_unique",
     "make_shared": "std::make_shared",
     "to_string": "std::to_string",
+    "stable_sort": "std::stable_sort",
+    "stable_partition": "std::stable_partition",
+    "inplace_merge": "std::inplace_merge",
 }
 
 CLOCK_CALLS = {"now", "time", "clock", "gettimeofday", "localtime", "gmtime",
