@@ -62,6 +62,10 @@ int main() {
 
   exp::CampaignRunner runner(std::move(spec));
   const exp::CampaignResult result = runner.run();
+  if (exp::emit_shard_slice(runner.spec(),
+                            "Ablation — adaptive estimator campaign", result,
+                            "ablation_cells"))
+    return 0;
   const exp::CampaignSpec& grid = runner.spec();
   const exp::MachineCase& theta = grid.machines[0];
   const MixSpec& mix = grid.mixes[0];

@@ -51,6 +51,10 @@ int main() {
 
   exp::CampaignRunner runner(std::move(spec));
   const exp::CampaignResult result = runner.run();
+  if (exp::emit_shard_slice(runner.spec(),
+                            "Figure 6 — per-cell campaign summary", result,
+                            "fig6_cells"))
+    return 0;
   const exp::CampaignSpec& grid = runner.spec();
 
   TextTable theta_table;

@@ -29,6 +29,9 @@ int main() {
 
   exp::CampaignRunner runner(std::move(spec));
   const exp::CampaignResult result = runner.run();
+  if (exp::emit_shard_slice(runner.spec(), "Figure 7 — continuous campaign",
+                            result, "fig7_cells"))
+    return 0;
   const exp::MachineCase& machine = runner.spec().machines[0];
   const MixSpec& mix = runner.spec().mixes[0];
 

@@ -47,6 +47,10 @@ int main() {
 
   exp::CampaignRunner runner(std::move(spec));
   const exp::CampaignResult result = runner.run();
+  if (exp::emit_shard_slice(runner.spec(),
+                            "Figure 8 — per-cell campaign summary", result,
+                            "fig8_cells"))
+    return 0;
   const exp::CampaignSpec& grid = runner.spec();
 
   TextTable bins_table;

@@ -42,6 +42,10 @@ int main() {
 
   exp::CampaignRunner runner(std::move(spec));
   const exp::CampaignResult result = runner.run();
+  if (exp::emit_shard_slice(runner.spec(),
+                            "Figure 9 — per-cell campaign summary", result,
+                            "fig9_cells"))
+    return 0;
   const exp::CampaignSpec& grid = runner.spec();
 
   TextTable table;

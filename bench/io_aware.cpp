@@ -42,6 +42,9 @@ int main() {
 
   exp::CampaignRunner runner(std::move(spec));
   const exp::CampaignResult result = runner.run();
+  if (exp::emit_shard_slice(runner.spec(), "I/O-aware campaign", result,
+                            "io_aware_cells"))
+    return 0;
   const exp::CampaignSpec& grid = runner.spec();
 
   TextTable table;

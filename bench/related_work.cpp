@@ -65,6 +65,26 @@ std::string row_json(const exp::CellResult& c, double slowdown_mean) {
          ", \"mean_bounded_slowdown\": " + json_number(slowdown_mean) +
          ", \"makespan_hours\": " + json_number(s.makespan_hours) + "}";
 }
+
+// Grid 2: interference-sensitivity sweep — alpha x allocator, FIFO vs the
+// colocation gate, default-allocator family only.
+exp::CampaignSpec alpha_sweep_spec() {
+  exp::CampaignSpec sweep;
+  sweep.name = "interference_alpha";
+  sweep.machines.push_back(exp::paper_machine("Theta"));
+  sweep.mixes.push_back(uniform_mix(Pattern::kRecursiveHalvingVD, 0.9, 0.8));
+  sweep.allocators = {AllocatorKind::kDefault, AllocatorKind::kBalanced,
+                      AllocatorKind::kAdaptive};
+  for (const double alpha : {0.5, 1.0, 2.0, 4.0}) {
+    const std::string tag = "a" + cell(alpha, 1);
+    sweep.variants.push_back(
+        {tag + "/fifo", dynamic_options(alpha, QueuePolicy::kFifo)});
+    sweep.variants.push_back(
+        {tag + "/coloc", dynamic_options(alpha, QueuePolicy::kColocation)});
+  }
+  sweep.variants.erase(sweep.variants.begin());  // drop the default "base"
+  return sweep;
+}
 }  // namespace
 
 int main() {
@@ -85,6 +105,14 @@ int main() {
   exp::CampaignRunner runner(std::move(spec));
   const exp::CampaignResult result = runner.run();
   const exp::CampaignSpec& grid = runner.spec();
+  if (exp::emit_shard_slice(grid, "Related work — three regimes", result,
+                            "related_work_cells")) {
+    exp::CampaignRunner sweep_runner(alpha_sweep_spec());
+    const exp::CampaignResult sweep_result = sweep_runner.run();
+    exp::emit_shard_slice(sweep_runner.spec(), "Interference sensitivity",
+                          sweep_result, "interference_alpha_cells");
+    return 0;
+  }
 
   std::vector<std::string> three_way_rows;
   TextTable table;
@@ -108,24 +136,7 @@ int main() {
       "colocation policy (Theta, RHVD, 90% comm, alpha=1)",
       table, "related_work");
 
-  // --- Grid 2: interference-sensitivity sweep — alpha x allocator, FIFO
-  // vs the colocation gate, default-allocator family only. ---
-  exp::CampaignSpec sweep;
-  sweep.name = "interference_alpha";
-  sweep.machines.push_back(exp::paper_machine("Theta"));
-  sweep.mixes.push_back(uniform_mix(Pattern::kRecursiveHalvingVD, 0.9, 0.8));
-  sweep.allocators = {AllocatorKind::kDefault, AllocatorKind::kBalanced,
-                      AllocatorKind::kAdaptive};
-  for (const double alpha : {0.5, 1.0, 2.0, 4.0}) {
-    const std::string tag = "a" + cell(alpha, 1);
-    sweep.variants.push_back(
-        {tag + "/fifo", dynamic_options(alpha, QueuePolicy::kFifo)});
-    sweep.variants.push_back(
-        {tag + "/coloc", dynamic_options(alpha, QueuePolicy::kColocation)});
-  }
-  sweep.variants.erase(sweep.variants.begin());  // drop the default "base"
-
-  exp::CampaignRunner sweep_runner(std::move(sweep));
+  exp::CampaignRunner sweep_runner(alpha_sweep_spec());
   const exp::CampaignResult sweep_result = sweep_runner.run();
   const exp::CampaignSpec& sweep_grid = sweep_runner.spec();
 

@@ -35,8 +35,10 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <span>
 #include <string>
 #include <thread>
@@ -184,7 +186,8 @@ struct GridRow {
   double improvement_pct = 0.0;
 };
 
-std::vector<GridRow> run_grid(int n_jobs, int budget) {
+// nullopt under process sharding, after emitting this shard's slice.
+std::optional<std::vector<GridRow>> run_grid(int n_jobs, int budget) {
   exp::CampaignSpec spec;
   spec.name = "sa_grid";
   spec.machines = exp::paper_machines(n_jobs);
@@ -196,6 +199,9 @@ std::vector<GridRow> run_grid(int n_jobs, int budget) {
   exp::CampaignRunner runner(std::move(spec));
   const exp::CampaignResult result = runner.run();
   const exp::CampaignSpec& grid = runner.spec();
+  if (exp::emit_shard_slice(grid, "SA vs greedy campaign", result,
+                            "sa_grid_cells"))
+    return std::nullopt;
 
   std::vector<GridRow> rows;
   for (std::size_t m = 0; m < grid.machines.size(); ++m) {
@@ -218,11 +224,10 @@ std::vector<GridRow> run_grid(int n_jobs, int budget) {
 }
 
 int run() {
-  std::ofstream csv("bench_out/sa_grid.csv");
-  std::ofstream json("BENCH_sa.json");
-  if (!csv || !json) {
-    std::cerr << "cannot open bench_out/sa_grid.csv or BENCH_sa.json (run "
-                 "from the repo root)\n";
+  // Checked up front, opened only after the grid: a sharded run must leave
+  // the committed snapshot untouched.
+  if (!std::filesystem::is_directory("bench_out")) {
+    std::cerr << "cannot find bench_out/ (run from the repo root)\n";
     return 1;
   }
 
@@ -238,7 +243,16 @@ int run() {
 
   const int n_jobs = env_int("COMMSCHED_SA_JOBS", 0);
   const int budget = env_int("COMMSCHED_SA_BUDGET", SaOptions{}.budget);
-  const std::vector<GridRow> rows = run_grid(n_jobs, budget);
+  const std::optional<std::vector<GridRow>> grid = run_grid(n_jobs, budget);
+  if (!grid) return 0;
+  const std::vector<GridRow>& rows = *grid;
+  std::ofstream csv("bench_out/sa_grid.csv");
+  std::ofstream json("BENCH_sa.json");
+  if (!csv || !json) {
+    std::cerr << "cannot open bench_out/sa_grid.csv or BENCH_sa.json (run "
+                 "from the repo root)\n";
+    return 1;
+  }
 
   int worse = 0;
   for (const GridRow& row : rows)

@@ -33,6 +33,10 @@ int main() {
 
   exp::CampaignRunner runner(std::move(spec));
   const exp::CampaignResult result = runner.run();
+  if (exp::emit_shard_slice(runner.spec(),
+                            "Table 3 — per-cell campaign summary", result,
+                            "table3_cells"))
+    return 0;
   const exp::CampaignSpec& grid = runner.spec();
 
   TextTable table;

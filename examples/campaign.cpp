@@ -25,7 +25,6 @@
 
 #include "exp/campaign.hpp"
 #include "exp/emit.hpp"
-#include "exp/sink.hpp"
 #include "metrics/summary.hpp"
 
 using namespace commsched;
@@ -59,16 +58,9 @@ int main() {
   // Under COMMSCHED_SHARD=i/N this process ran only its slice of the grid,
   // so result.at() would throw for the other shards' cells. Emit the slice
   // and point at the merge step instead of shaping partial tables.
-  const exp::ShardConfig shard = exp::shard_from_env();
-  if (shard.count > 1) {
-    exp::emit_campaign("example campaign (shard " +
-                           std::to_string(shard.index) + "/" +
-                           std::to_string(shard.count) + ")",
-                       result, "example_campaign");
-    std::cout << "sharded run: merge the per-shard streams with "
-                 "tools/campaign_merge for the full-grid tables\n";
+  if (exp::emit_shard_slice(grid, "example campaign", result,
+                            "example_campaign"))
     return 0;
-  }
 
   // 3. Shape tables from cells. at(machine, mix, allocator) indexes the
   //    grid; every cell carries the SimResult, its RunSummary, and the

@@ -446,27 +446,38 @@ void StateAuditor::check_profile(Pattern pattern,
 }
 
 // contract-trusted: no-alloc: opt-in run auditing (enabled() gate in the
-// simulator); the full-recompute cross-check allocates only for its private
-// workspace warm-up and on the failure path
-void StateAuditor::check_sa_cost(const CostModel& model,
-                                 const ClusterState& state,
-                                 std::span<const NodeId> nodes,
-                                 bool comm_intensive,
-                                 const LeafCommProfile& profile,
-                                 double claimed, JobId job) {
+// callers); the recompute allocates only for its private workspace warm-up
+// and on the failure path
+void StateAuditor::check_reused_cost(const CostModel& model,
+                                     const ClusterState& state,
+                                     std::span<const NodeId> nodes,
+                                     bool comm_intensive,
+                                     const LeafCommProfile& profile,
+                                     const ClaimedCosts& claimed, JobId job) {
   if (!enabled()) return;
   ++checks_;
-  const double full =
-      model.candidate_cost(state, nodes, comm_intensive, profile, cost_ws_);
-  if (full != claimed) {
-    std::ostringstream os;
-    os << "search allocator's delta-evaluated cost diverges from the full "
-          "recompute for job "
-       << job << ": claimed " << std::hexfloat << claimed << " ("
-       << std::defaultfloat << claimed << "), full kernel " << std::hexfloat
-       << full << " (" << std::defaultfloat << full << ")";
-    violation(os.str());
-  }
+  const CandidateCosts fresh =
+      model.candidate_costs(state, nodes, comm_intensive, profile, cost_ws_);
+  const auto diverges = [](const std::optional<double>& claim, double value) {
+    return claim.has_value() && *claim != value;
+  };
+  if (!diverges(claimed.hops, fresh.hops) &&
+      !diverges(claimed.hop_bytes, fresh.hop_bytes))
+    return;
+  std::ostringstream os;
+  const auto report = [&os](const char* name,
+                            const std::optional<double>& claim, double value) {
+    if (!claim) return;
+    os << ' ' << name << ": claimed " << std::hexfloat << *claim
+       << ", recomputed " << value << std::defaultfloat << " (" << *claim
+       << " vs " << value << ");";
+  };
+  os << "reused Eq. 6 price diverges from a fresh recompute of the placement "
+        "for job "
+     << job << " on " << node_set_repr(nodes) << ":";
+  report("hops", claimed.hops, fresh.hops);
+  report("hop_bytes", claimed.hop_bytes, fresh.hop_bytes);
+  violation(os.str());
 }
 
 void StateAuditor::check_flow(double remaining, double rate, double latency,

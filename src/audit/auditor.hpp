@@ -29,6 +29,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -118,16 +119,28 @@ class StateAuditor {
   void check_profile(Pattern pattern, const LeafCommProfile& profile,
                      std::span<const NodeId> nodes, JobId job);
 
-  /// Cheap level and up: re-derive a search allocator's claimed Eq. 6 cost
-  /// for the placement it returned — an independent full candidate_cost
-  /// through `model` must reproduce `claimed` bit for bit (the allocator's
-  /// delta-evaluation session may never drift from the full kernel). Call
-  /// *before* the allocation is committed: `claimed` prices the
-  /// pre-allocation state.
-  void check_sa_cost(const CostModel& model, const ClusterState& state,
-                     std::span<const NodeId> nodes, bool comm_intensive,
-                     const LeafCommProfile& profile, double claimed,
-                     JobId job);
+  /// An Eq. 6 price handed on instead of computed where it is used: the sums
+  /// a select() priced for the placement it returned. A sum the claimant
+  /// did not compute stays unset (the sa delta session sums only the one its
+  /// CostOptions select).
+  struct ClaimedCosts {
+    std::optional<double> hops;
+    std::optional<double> hop_bytes;
+  };
+
+  /// Cheap level and up: re-price the chosen placement and check a price
+  /// that was passed on to the start path — adaptive's winner sums, which
+  /// the simulator and the allocator service reuse, or the sa anneal's
+  /// delta total, which may never drift from the full kernel. A fresh
+  /// CostModel::candidate_costs of `nodes` through `model` must reproduce
+  /// every sum `claimed` carries bit for bit; the report gives both sides as
+  /// hexfloats. Call *before* the allocation is committed: the claim prices
+  /// the pre-allocation state, so a claim made on another state (a select on
+  /// one state followed by a start on another) fails here.
+  void check_reused_cost(const CostModel& model, const ClusterState& state,
+                         std::span<const NodeId> nodes, bool comm_intensive,
+                         const LeafCommProfile& profile,
+                         const ClaimedCosts& claimed, JobId job);
 
   /// Full level: audit one netsim flow after a max-min rate computation —
   /// bytes remaining, rate, and startup latency must be finite and must not
@@ -170,7 +183,7 @@ class StateAuditor {
   // end-event cross-check instead of failing on an empty table.
   bool saw_schedule_ = false;
 
-  // Private cost-kernel scratch for check_sa_cost's full recompute, so the
+  // Private cost-kernel scratch for check_reused_cost's recompute, so the
   // audit never touches the workspace the simulator prices with.
   CostWorkspace cost_ws_;
 

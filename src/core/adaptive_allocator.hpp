@@ -7,8 +7,10 @@
 // which keeps the better placement free for communicating workloads).
 //
 // Candidate pricing goes through the shared CommCache's canonical-shape
-// profiles (allocator_common's profiled_candidate_cost); the simulator hands
+// profiles (allocator_common's candidate_profile); the simulator hands
 // every policy and pricing model of one run the same cache instance.
+// Identical greedy and balanced node lists are priced once, and the
+// winner's two Eq. 6 sums stay readable for the caller that commits it.
 #pragma once
 
 #include <memory>
@@ -37,13 +39,24 @@ class AdaptiveAllocator final : public Allocator {
                    const AllocationRequest& request,
                    std::vector<NodeId>& out) const override;
 
-  /// Cost of the candidate chosen by the last select() call, whether it
-  /// priced one (only when both greedy and balanced produced a candidate),
-  /// and whether balanced won (meaningful only directly after a successful
-  /// select()).
-  double last_cost() const noexcept { return last_cost_; }
+  /// Cost of the candidate chosen by the last select() call (the sum its
+  /// CostOptions select), whether it priced one (only when both greedy and
+  /// balanced produced a candidate), and whether balanced won (meaningful
+  /// only directly after a successful select()).
+  // hot-path: no-alloc
+  double last_cost() const noexcept {
+    return last_costs_.select(cost_options_.hop_bytes);
+  }
   bool last_has_cost() const noexcept { return last_has_cost_; }
   bool last_chose_balanced() const noexcept { return last_chose_balanced_; }
+  /// Both Eq. 6 sums of the chosen candidate, priced on the state and
+  /// request of the last select() with this allocator's CostOptions, and
+  /// the cached profile they were priced with (null unless
+  /// last_has_cost()).
+  const CandidateCosts& last_costs() const noexcept { return last_costs_; }
+  const LeafCommProfile* last_profile() const noexcept {
+    return last_profile_;
+  }
 
  private:
   GreedyAllocator greedy_;
@@ -53,12 +66,14 @@ class AdaptiveAllocator final : public Allocator {
   // workspace: cost-kernel scratch reused across const select() calls;
   // observable state is untouched (CostModel itself is stateless).
   mutable CostWorkspace workspace_;
-  // workspace: post-hoc diagnostics of the last select(), written once per
+  // workspace: post-hoc record of the last select(), written once per
   // call and only read back through the accessors above.
-  mutable double last_cost_ = 0.0;
-  // workspace: see last_cost_.
+  mutable CandidateCosts last_costs_;
+  // workspace: see last_costs_; points into cache_, whose entries stay put.
+  mutable const LeafCommProfile* last_profile_ = nullptr;
+  // workspace: see last_costs_.
   mutable bool last_has_cost_ = false;
-  // workspace: see last_cost_.
+  // workspace: see last_costs_.
   mutable bool last_chose_balanced_ = false;
   // workspace: candidate buffers reused across const select_into() calls;
   // overwritten by the nested policies on entry, never observable.

@@ -73,21 +73,24 @@ double communication_ratio(const ClusterState& state, SwitchId leaf) {
 }
 
 // hot-path: no-alloc
+const LeafCommProfile& candidate_profile(CommCache& cache, const Tree& tree,
+                                         std::span<const NodeId> nodes,
+                                         Pattern pattern) {
+  return cache.profile(pattern, /*ranks_per_node=*/1,
+                       make_shape_key(tree, nodes));
+}
+
+// hot-path: no-alloc
 double profiled_candidate_cost(const CostModel& model, CommCache& cache,
                                const ClusterState& state,
                                std::span<const NodeId> nodes,
                                bool comm_intensive, Pattern pattern,
                                CostWorkspace& workspace) {
-  const ShapeKey shape = make_shape_key(state.tree(), nodes);
-  const LeafCommProfile& profile =
-      cache.profile(pattern, /*ranks_per_node=*/1, shape);
-  return model.candidate_cost(state, nodes, comm_intensive, profile,
-                              workspace);
+  return model.candidate_cost(
+      state, nodes, comm_intensive,
+      candidate_profile(cache, state.tree(), nodes, pattern), workspace);
 }
 
-// Kept last in the file: the analyzer reads a `contract-trusted` comment up
-// to five lines above a signature as trusting that whole function, and this
-// body ends in one.
 // hot-path: no-alloc
 void take_free_nodes(const ClusterState& state, SwitchId leaf, int count,
                      std::vector<NodeId>& out) {

@@ -48,11 +48,16 @@ double free_count(const ClusterState& state, SwitchId leaf);
 /// is taken as 0 (the paper leaves the 0/0 case implicit).
 double communication_ratio(const ClusterState& state, SwitchId leaf);
 
-/// Price a candidate allocation through the shared profile cache: derive the
-/// allocation's canonical ShapeKey, look up (or build) the leaf-comm profile
-/// for `pattern` at one rank per node, and evaluate Eq. 6 through
-/// model.candidate_cost. The common pricing path of the adaptive, I/O-aware
-/// and sa policies and of run_individual.
+/// The leaf-comm profile a candidate allocation prices with: derive the
+/// allocation's canonical ShapeKey and look up (or build) its profile for
+/// `pattern` at one rank per node in the shared cache.
+const LeafCommProfile& candidate_profile(CommCache& cache, const Tree& tree,
+                                         std::span<const NodeId> nodes,
+                                         Pattern pattern);
+
+/// Price a candidate allocation through the shared profile cache: Eq. 6
+/// through model.candidate_cost over candidate_profile. The common pricing
+/// path of the I/O-aware and sa policies and of run_individual.
 double profiled_candidate_cost(const CostModel& model, CommCache& cache,
                                const ClusterState& state,
                                std::span<const NodeId> nodes,

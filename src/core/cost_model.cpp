@@ -61,18 +61,22 @@ double eq5_hops(const Tree& tree, SwitchId la, SwitchId lb, double ca,
 
 /// Eq. 6 over a profile's steps from per-class worst-hops values. Every
 /// evaluation (full kernel, delta begin, delta eval) sums through this
-/// one loop: FP addition is order-sensitive, so sharing the step order is
-/// what keeps their totals bit-identical.
+/// one loop: FP addition is order-sensitive, so sharing the step order and
+/// the per-step arithmetic (worst × repeat, times msize for hop-bytes) is
+/// what keeps their totals bit-identical. `hops` and `hop_bytes` pick the
+/// sums to accumulate (one not picked stays 0): the full kernel takes both,
+/// the delta session only the one its options select, since an anneal
+/// sums once per proposal.
 // hot-path: no-alloc
 template <typename WorstOf>
-double sum_profile_steps(const LeafCommProfile& profile, bool hop_bytes,
-                         WorstOf&& worst_of) {
-  double total = 0.0;
+CandidateCosts sum_profile_steps(const LeafCommProfile& profile, bool hops,
+                                 bool hop_bytes, WorstOf&& worst_of) {
+  CandidateCosts total;
   for (const ProfileStep& step : profile.steps) {
-    double step_cost = worst_of(static_cast<std::size_t>(step.cls)) *
-                       static_cast<double>(step.repeat);
-    if (hop_bytes) step_cost *= step.msize;
-    total += step_cost;
+    const double step_hops = worst_of(static_cast<std::size_t>(step.cls)) *
+                             static_cast<double>(step.repeat);
+    if (hops) total.hops += step_hops;
+    if (hop_bytes) total.hop_bytes += step_hops * step.msize;
   }
   return total;
 }
@@ -199,11 +203,11 @@ std::size_t CostModel::freeze_slots(const ClusterState& state,
 // order with identical per-step arithmetic, so the result is bit-for-bit
 // equal to pair-by-pair Eq. 6 over the block-expanded rank list.
 // hot-path: no-alloc
-double CostModel::candidate_cost(const ClusterState& state,
-                                 std::span<const NodeId> nodes,
-                                 bool comm_intensive,
-                                 const LeafCommProfile& profile,
-                                 CostWorkspace& workspace) const {
+CandidateCosts CostModel::candidate_costs(const ClusterState& state,
+                                          std::span<const NodeId> nodes,
+                                          bool comm_intensive,
+                                          const LeafCommProfile& profile,
+                                          CostWorkspace& workspace) const {
   auto& t = workspace.call_;
   freeze_slots(state, nodes, comm_intensive, profile, workspace, t);
   for (std::size_t c = 0; c < profile.classes.size(); ++c) {
@@ -212,7 +216,7 @@ double CostModel::candidate_cost(const ClusterState& state,
       worst = std::max(worst, memo_hops(*tree_, t, sa, sb));
     t.class_worst[c] = worst;
   }
-  return sum_profile_steps(profile, options_.hop_bytes,
+  return sum_profile_steps(profile, true, true,
                            [&](std::size_t c) { return t.class_worst[c]; });
 }
 
@@ -422,8 +426,9 @@ double CostModel::delta_begin(const ClusterState& state,
   d.tent_class_worst.assign(n_classes, 0.0);
   d.touched_classes.clear();
   d.last_move_count = 0;
-  d.total = sum_profile_steps(profile, options_.hop_bytes,
-                              [&](std::size_t c) { return d.class_worst[c]; });
+  d.total = selected(sum_profile_steps(
+      profile, !options_.hop_bytes, options_.hop_bytes,
+      [&](std::size_t c) { return d.class_worst[c]; }));
   return d.total;
 }
 
@@ -486,11 +491,12 @@ double CostModel::cost_delta(const ClusterState& state,
     }
   }
 
-  d.last_total = sum_profile_steps(
-      *d.profile, options_.hop_bytes, [&](std::size_t c) {
+  d.last_total = selected(sum_profile_steps(
+      *d.profile, !options_.hop_bytes, options_.hop_bytes,
+      [&](std::size_t c) {
         return d.class_stamp[c] == d.move_epoch ? d.tent_class_worst[c]
                                                 : d.class_worst[c];
-      });
+      }));
   d.pending = true;
   return d.last_total;
 }

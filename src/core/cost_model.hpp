@@ -14,10 +14,11 @@
 // the workspace's frozen per-slot inputs, so the ClusterState itself is never
 // touched.
 //
-// One evaluation path: candidate_cost over a LeafCommProfile — the
+// One evaluation path: candidate_costs over a LeafCommProfile — the
 // schedule lowered onto the allocation's canonical shape (CommCache memoizes
 // it per run) — runs the expensive hop arithmetic once per distinct
-// leaf-pair *class*, independent of the rank count. The delta session prices
+// leaf-pair *class*, independent of the rank count, and returns both Eq. 6
+// sums (hops and hop-bytes) from that one walk. The delta session prices
 // tentative leaf moves against the same profile and agrees with it
 // bit-for-bit. The pair-by-pair Eq. 6 oracle both are tested against lives
 // under tests/support/.
@@ -43,6 +44,21 @@ struct CostOptions {
   /// their leaves while pricing (matches the paper's Figure 5 arithmetic).
   /// Only applies when the candidate is communication-intensive.
   bool include_candidate = true;
+};
+
+/// Both Eq. 6 sums of one kernel walk: `hops` is Eq. 6 as printed (the cost
+/// the simulator records), `hop_bytes` weights each step by its message
+/// size (§5.3; the default Eq. 7 pricing metric). Each is bit-identical to a
+/// one-sum walk under the CostOptions::hop_bytes value that selects it.
+struct CandidateCosts {
+  double hops = 0.0;
+  double hop_bytes = 0.0;
+
+  /// The sum a CostOptions::hop_bytes flag selects.
+  double select(bool hop_bytes_flag) const noexcept {
+    return hop_bytes_flag ? hop_bytes : hops;
+  }
+  bool operator==(const CandidateCosts&) const = default;
 };
 
 /// Extra communication-intensive node counts per leaf switch, representing a
@@ -186,16 +202,34 @@ class CostModel {
   double effective_hops(const ClusterState& state, NodeId i, NodeId j,
                         const LeafOverlay* overlay = nullptr) const;
 
-  /// Eq. 6 for a *candidate* allocation. `nodes` is the *distinct ordered
-  /// node list* whose canonical shape produced `profile` (nodes.size() *
-  /// ranks_per_node == profile.nprocs; ranks are block-distributed). When
-  /// the job is communication-intensive and options_.include_candidate is
-  /// set, its ranks are overlaid onto leaf L_comm counts; otherwise the
-  /// committed state alone is priced. O(distinct leaf pairs per class).
+  /// Eq. 6 for a *candidate* allocation, both sums from one walk. `nodes`
+  /// is the *distinct ordered node list* whose canonical shape produced
+  /// `profile` (nodes.size() * ranks_per_node == profile.nprocs; ranks are
+  /// block-distributed). When the job is communication-intensive and
+  /// options_.include_candidate is set, its ranks are overlaid onto leaf
+  /// L_comm counts; otherwise the committed state alone is priced.
+  /// O(distinct leaf pairs per class). options_.hop_bytes plays no part.
+  CandidateCosts candidate_costs(const ClusterState& state,
+                                 std::span<const NodeId> nodes,
+                                 bool comm_intensive,
+                                 const LeafCommProfile& profile,
+                                 CostWorkspace& workspace) const;
+
+  /// The sum of candidate_costs that options_.hop_bytes selects.
+  // hot-path: no-alloc
   double candidate_cost(const ClusterState& state,
                         std::span<const NodeId> nodes, bool comm_intensive,
                         const LeafCommProfile& profile,
-                        CostWorkspace& workspace) const;
+                        CostWorkspace& workspace) const {
+    return selected(
+        candidate_costs(state, nodes, comm_intensive, profile, workspace));
+  }
+
+  /// The sum of `costs` that options_.hop_bytes selects.
+  // hot-path: no-alloc
+  double selected(const CandidateCosts& costs) const noexcept {
+    return costs.select(options_.hop_bytes);
+  }
 
   // --- Delta-cost evaluation (DESIGN.md "Delta-cost evaluation & search
   // allocators") ------------------------------------------------------------

@@ -64,4 +64,17 @@ void emit_campaign(const std::string& title, const CampaignResult& result,
   std::cout << "  [json] " << json_path << "\n";
 }
 
+bool emit_shard_slice(const CampaignSpec& spec, const std::string& title,
+                      const CampaignResult& result, const std::string& stem) {
+  const ShardConfig shard = resolve_shard(spec);
+  if (shard.count <= 1) return false;
+  const std::string i = std::to_string(shard.index);
+  const std::string n = std::to_string(shard.count);
+  emit_campaign(title + " (shard " + i + "/" + n + ")", result,
+                stem + ".s" + i + "of" + n);
+  std::cout << "sharded run: merge the per-shard streams with "
+               "tools/campaign_merge for the full-grid tables\n";
+  return true;
+}
+
 }  // namespace commsched::exp

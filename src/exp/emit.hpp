@@ -34,4 +34,14 @@ std::string campaign_json(const CampaignResult& result);
 void emit_campaign(const std::string& title, const CampaignResult& result,
                    const std::string& stem);
 
+/// The shard branch every harness takes before indexing its grid. Under
+/// process sharding (resolve_shard(spec).count > 1, e.g. COMMSCHED_SHARD=1/2)
+/// a run holds only its slice of the cells, and result.at() throws for the
+/// other shards' cells. Then this emits the slice through emit_campaign to
+/// bench_out/<stem>.s<i>of<N>.{csv,json}, prints the tools/campaign_merge
+/// hint and returns true: the harness returns 0 instead of shaping
+/// full-grid tables. An unsharded run emits nothing and returns false.
+bool emit_shard_slice(const CampaignSpec& spec, const std::string& title,
+                      const CampaignResult& result, const std::string& stem);
+
 }  // namespace commsched::exp

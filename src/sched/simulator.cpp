@@ -7,6 +7,8 @@
 #include "audit/auditor.hpp"
 #include "cluster/state.hpp"
 #include "collectives/comm_cache.hpp"
+#include "core/adaptive_allocator.hpp"
+#include "core/allocator_common.hpp"
 #include "core/default_allocator.hpp"
 #include "core/io_model.hpp"
 #include "util/assert.hpp"
@@ -168,11 +170,9 @@ class Simulation {
         allocator_(make_allocator(options.allocator, options.cost_options,
                                   comm_cache_, sa_options_for(options))),
         sa_allocator_(dynamic_cast<const SaAllocator*>(allocator_.get())),
-        pricing_model_(tree, options.cost_options),
-        metric_model_(tree,
-                      CostOptions{.hop_bytes = false,
-                                  .include_candidate =
-                                      options.cost_options.include_candidate}),
+        adaptive_allocator_(
+            dynamic_cast<const AdaptiveAllocator*>(allocator_.get())),
+        model_(tree, options.cost_options),
         io_model_(tree),
         runtime_opts_(runtime_options_from_env(options.runtime_options)),
         degrade_(tree, options.degradation, runtime_opts_),
@@ -596,39 +596,54 @@ class Simulation {
     double priced = 0.0, priced_default = 0.0;  // comm pricing metric
     const LeafCommProfile* profile = nullptr;
     if (price_comm) {
-      // One canonical-shape profile per allocation serves both pricing
-      // models (and the auditor's consistency check below).
-      profile = &comm_cache_->profile(job.pattern, /*ranks_per_node=*/1,
-                                      make_shape_key(tree_, nodes));
-      // Recorded metric: the paper's unweighted Eq. 6 cost (Figure 8).
-      cost = metric_model_.candidate_cost(state_, nodes, job.comm_intensive,
-                                          *profile, workspace_);
-      if (is_default) {
-        cost_default = cost;
+      // Both Eq. 6 sums of the chosen placement from one kernel walk.
+      // Adaptive priced its winner in the select that produced `nodes`, on
+      // this very state, with the run's CostOptions and cache: its sums and
+      // profile are passed on instead of walked again.
+      const bool reused = adaptive_allocator_ != nullptr &&
+                          adaptive_allocator_->last_has_cost();
+      CandidateCosts chosen;
+      if (reused) {
+        chosen = adaptive_allocator_->last_costs();
+        profile = adaptive_allocator_->last_profile();
       } else {
-        const LeafCommProfile& default_profile = comm_cache_->profile(
-            job.pattern, /*ranks_per_node=*/1,
-            make_shape_key(tree_, default_nodes));
-        cost_default = metric_model_.candidate_cost(
-            state_, default_nodes, job.comm_intensive, default_profile,
+        profile = &candidate_profile(*comm_cache_, tree_, nodes, job.pattern);
+        chosen = model_.candidate_costs(state_, nodes, job.comm_intensive,
+                                        *profile, workspace_);
+      }
+      // The Eq. 7 baseline: the default placement, priced only when it is
+      // not the very node list just priced.
+      CandidateCosts baseline = chosen;
+      if (!is_default && default_nodes != nodes)
+        baseline = model_.candidate_costs(
+            state_, default_nodes, job.comm_intensive,
+            candidate_profile(*comm_cache_, tree_, default_nodes, job.pattern),
             workspace_);
-        // Runtime ratio uses the (possibly msize-weighted) pricing metric.
-        priced = pricing_model_.candidate_cost(state_, nodes,
-                                               job.comm_intensive, *profile,
-                                               workspace_);
-        priced_default = pricing_model_.candidate_cost(
-            state_, default_nodes, job.comm_intensive, default_profile,
-            workspace_);
+      // Recorded metric: the paper's unweighted Eq. 6 cost (Figure 8); the
+      // runtime ratio uses the (possibly msize-weighted) pricing metric.
+      cost = chosen.hops;
+      cost_default = baseline.hops;
+      priced = model_.selected(chosen);
+      priced_default = model_.selected(baseline);
+      // A passed-on price must still fit the placement; so must the sa
+      // anneal's delta-evaluated total. Both were priced on the
+      // pre-allocation state, which is still intact here.
+      if (auditor_.enabled()) {
+        if (reused)
+          auditor_.check_reused_cost(model_, state_, nodes, job.comm_intensive,
+                                     *profile, {chosen.hops, chosen.hop_bytes},
+                                     request.job);
+        if (sa_allocator_ != nullptr && sa_allocator_->last_has_cost()) {
+          const double total = sa_allocator_->last_cost();
+          auditor_.check_reused_cost(
+              model_, state_, nodes, job.comm_intensive, *profile,
+              options_.cost_options.hop_bytes
+                  ? StateAuditor::ClaimedCosts{std::nullopt, total}
+                  : StateAuditor::ClaimedCosts{total, std::nullopt},
+              request.job);
+        }
       }
     }
-    // Cross-check the SA allocator's delta-evaluated claim against an
-    // independent full recompute while the pre-allocation state (what the
-    // anneal priced) is still intact.
-    if (sa_allocator_ != nullptr && price_comm && auditor_.enabled() &&
-        sa_allocator_->last_has_cost())
-      auditor_.check_sa_cost(pricing_model_, state_, nodes,
-                             job.comm_intensive, *profile,
-                             sa_allocator_->last_cost(), request.job);
     double io_cost = 0.0, io_cost_default = 0.0;
     if (price_io) {
       io_cost = io_model_.candidate_cost(state_, nodes, job.io_intensive);
@@ -665,7 +680,7 @@ class Simulation {
       if (price_comm) {
         auditor_.check_cost(cost, request.job, "Eq. 6 cost");
         auditor_.check_cost(cost_default, request.job, "Eq. 6 default cost");
-        auditor_.check_cost_symmetry(metric_model_, state_, nodes,
+        auditor_.check_cost_symmetry(model_, state_, nodes,
                                      request.job);
         auditor_.check_profile(job.pattern, *profile, nodes, request.job);
       }
@@ -843,16 +858,20 @@ class Simulation {
   // Non-owning view of allocator_ when it is the SA policy (null otherwise):
   // start_job reads the anneal's claimed cost for the auditor cross-check.
   const SaAllocator* sa_allocator_ = nullptr;
+  // Non-owning view of allocator_ when it is the adaptive policy (null
+  // otherwise): start_job reuses the winner's price from its select.
+  const AdaptiveAllocator* adaptive_allocator_ = nullptr;
   DefaultAllocator default_allocator_;
-  CostModel pricing_model_;  // Eq. 7 ratio + adaptive comparisons
-  CostModel metric_model_;   // pure Eq. 6, recorded in JobResult
-  IoModel io_model_;         // §7 I/O extension
+  // Eq. 6 pricing: `hops` is recorded in JobResult, the sum the run's
+  // CostOptions select feeds the Eq. 7 ratio.
+  CostModel model_;
+  IoModel io_model_;  // §7 I/O extension
   // Eq. 7 clamps after the COMMSCHED_RUNTIME_CLAMP env override; feeds both
   // the static runtime model and the degradation model's upper clamp.
   RuntimeModelOptions runtime_opts_;
   DegradationModel degrade_;  // colocation degradation (DESIGN.md)
   const bool dynamic_;        // degradation.enabled: runtime re-evaluation on
-  CostWorkspace workspace_;   // cost-kernel scratch for the pricing models
+  CostWorkspace workspace_;   // cost-kernel scratch for model_
   DegradationWorkspace degrade_ws_;  // degradation-kernel scratch
   StateAuditor auditor_;      // runtime invariant checks (src/audit)
 

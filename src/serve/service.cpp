@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "core/allocator_common.hpp"
 #include "core/degradation_model.hpp"
 #include "util/assert.hpp"
 
@@ -44,10 +45,7 @@ AllocatorService::AllocatorService(const Tree& tree, ServiceOptions options)
       options_(options),
       state_(tree),
       cache_(std::make_shared<CommCache>(options.base_msize)),
-      metric_model_(tree,
-                    CostOptions{.hop_bytes = false,
-                                .include_candidate =
-                                    options.cost_options.include_candidate}),
+      model_(tree, options.cost_options),
       auditor_(tree,
                options.audit ? *options.audit : audit_level_from_env()) {}
 
@@ -118,12 +116,23 @@ void AllocatorService::handle_alloc(const Request& request, Reply& out) {
   // the pre-commit state exactly like the simulator's start_job.
   const bool price_comm = request.comm_intensive && request.num_nodes >= 2;
   if (price_comm) {
-    const LeafCommProfile& profile = cache_->profile(
-        request.pattern, /*ranks_per_node=*/1,
-        make_shape_key(*tree_, nodes_scratch_));
-    out.cost = metric_model_.candidate_cost(state_, nodes_scratch_,
-                                            /*comm_intensive=*/true, profile,
-                                            workspace_);
+    // Adaptive priced its winner in the select just made, on this state:
+    // report that price instead of walking the kernel again.
+    if (allocator == adaptive_ && adaptive_->last_has_cost()) {
+      const CandidateCosts& costs = adaptive_->last_costs();
+      out.cost = costs.hops;
+      if (auditor_.enabled())
+        auditor_.check_reused_cost(model_, state_, nodes_scratch_,
+                                   /*comm_intensive=*/true,
+                                   *adaptive_->last_profile(),
+                                   {costs.hops, costs.hop_bytes}, request.job);
+    } else {
+      const LeafCommProfile& profile = candidate_profile(
+          *cache_, *tree_, nodes_scratch_, request.pattern);
+      out.cost = model_.candidate_costs(state_, nodes_scratch_,
+                                        /*comm_intensive=*/true, profile,
+                                        workspace_).hops;
+    }
     if (auditor_.enabled())
       auditor_.check_cost(out.cost, request.job, "Eq. 6 cost");
   }
@@ -182,8 +191,11 @@ Allocator* AllocatorService::allocator_for(std::uint8_t code) {
     kind = static_cast<AllocatorKind>(code);
   }
   auto& slot = allocators_[static_cast<std::size_t>(kind)];
-  if (!slot)
+  if (!slot) {
     slot = make_allocator(kind, options_.cost_options, cache_, options_.sa);
+    if (kind == AllocatorKind::kAdaptive)
+      adaptive_ = static_cast<const AdaptiveAllocator*>(slot.get());
+  }
   return slot.get();
 }
 

@@ -36,6 +36,7 @@
 
 #include "audit/auditor.hpp"
 #include "collectives/comm_cache.hpp"
+#include "core/adaptive_allocator.hpp"
 #include "core/allocator_factory.hpp"
 #include "core/cost_model.hpp"
 #include "serve/protocol.hpp"
@@ -95,12 +96,15 @@ class AllocatorService {
   ServiceOptions options_;
   ClusterState state_;
   std::shared_ptr<CommCache> cache_;
-  CostModel metric_model_;  ///< unweighted Eq. 6 (the reported cost)
+  CostModel model_;  ///< prices the reported cost, unweighted Eq. 6
   StateAuditor auditor_;
   CostWorkspace workspace_;
   std::array<std::unique_ptr<Allocator>,
              static_cast<std::size_t>(AllocatorKind::kSa) + 1>
       allocators_;  // lazily constructed per kind
+  /// allocators_'s adaptive policy once constructed (null before): its
+  /// select prices the winner, and handle_alloc reports that price.
+  const AdaptiveAllocator* adaptive_ = nullptr;
   std::vector<NodeId> nodes_scratch_;
 
   std::unordered_map<std::uint64_t, Reply> replay_;

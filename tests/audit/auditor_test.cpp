@@ -7,6 +7,8 @@
 #include <cstdlib>
 #include <functional>
 #include <limits>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -453,55 +455,116 @@ TEST(AuditLevelTest, NamesRoundTrip) {
   EXPECT_EQ(audit_level_from_string(""), std::nullopt);
 }
 
+// Both Eq. 6 sums of `nodes` on `state` under `model`'s include_candidate.
+CandidateCosts fresh_costs(const CostModel& model, const ClusterState& state,
+                           const std::vector<NodeId>& nodes,
+                           const LeafCommProfile& profile) {
+  CostWorkspace ws;
+  return model.candidate_costs(state, nodes, true, profile, ws);
+}
+
+LeafCommProfile alltoall_profile(const Tree& tree,
+                                 const std::vector<NodeId>& nodes) {
+  return make_leaf_comm_profile(Pattern::kPairwiseAlltoall, double{1 << 20},
+                                make_shape_key(tree, nodes), 1);
+}
+
 TEST_F(AuditorTest, SaCostCrossCheckPassesOnHonestClaim) {
   // The claimed cost the search allocator reports is the full Eq. 6 price of
-  // the placement on the pre-allocation state; re-deriving it through an
-  // independent workspace must agree bit for bit.
+  // the placement on the pre-allocation state, in the one sum its options
+  // select; re-deriving it through an independent workspace must agree bit
+  // for bit.
   state_.allocate(1, true, std::vector<NodeId>{0, 1});
   const CostModel model(tree_, CostOptions{.hop_bytes = true});
   const std::vector<NodeId> nodes{2, 4, 5};
-  const LeafCommProfile profile = make_leaf_comm_profile(
-      Pattern::kPairwiseAlltoall, double{1 << 20},
-      make_shape_key(tree_, nodes), 1);
-  CostWorkspace ws;
-  const double honest =
-      model.candidate_cost(state_, nodes, true, profile, ws);
+  const LeafCommProfile profile = alltoall_profile(tree_, nodes);
+  const double honest = fresh_costs(model, state_, nodes, profile).hop_bytes;
   const std::uint64_t before = auditor_.checks_run();
-  EXPECT_NO_THROW(auditor_.check_sa_cost(model, state_, nodes, true, profile,
-                                         honest, 7));
+  EXPECT_NO_THROW(auditor_.check_reused_cost(model, state_, nodes, true,
+                                             profile, {std::nullopt, honest},
+                                             7));
   EXPECT_GT(auditor_.checks_run(), before);
 }
 
 TEST_F(AuditorTest, SaCostDivergenceFires) {
   const CostModel model(tree_, CostOptions{.hop_bytes = true});
   const std::vector<NodeId> nodes{0, 1, 4};
-  const LeafCommProfile profile = make_leaf_comm_profile(
-      Pattern::kPairwiseAlltoall, double{1 << 20},
-      make_shape_key(tree_, nodes), 1);
-  CostWorkspace ws;
-  const double honest =
-      model.candidate_cost(state_, nodes, true, profile, ws);
+  const LeafCommProfile profile = alltoall_profile(tree_, nodes);
+  const double honest = fresh_costs(model, state_, nodes, profile).hop_bytes;
   // Even a one-ulp drift is a violation: the delta kernel's contract is
   // bit-for-bit agreement, not approximate agreement.
   const double drifted =
       std::nextafter(honest, std::numeric_limits<double>::infinity());
   const std::string msg = violation_message([&] {
-    auditor_.check_sa_cost(model, state_, nodes, true, profile, drifted, 7);
+    auditor_.check_reused_cost(model, state_, nodes, true, profile,
+                               {std::nullopt, drifted}, 7);
   });
-  EXPECT_NE(msg.find("delta-evaluated cost diverges"), std::string::npos);
+  EXPECT_NE(msg.find("reused Eq. 6 price diverges"), std::string::npos);
   EXPECT_NE(msg.find("job 7"), std::string::npos);
+  EXPECT_EQ(msg.find(" hops: claimed"), std::string::npos);  // none claimed
 }
 
 TEST_F(AuditorTest, SaCostCheckSkippedWhenOff) {
   StateAuditor off(tree_, AuditLevel::kOff);
   const CostModel model(tree_, CostOptions{.hop_bytes = true});
   const std::vector<NodeId> nodes{0, 1};
-  const LeafCommProfile profile = make_leaf_comm_profile(
-      Pattern::kPairwiseAlltoall, double{1 << 20},
-      make_shape_key(tree_, nodes), 1);
-  EXPECT_NO_THROW(
-      off.check_sa_cost(model, state_, nodes, true, profile, -123.0, 7));
+  const LeafCommProfile profile = alltoall_profile(tree_, nodes);
+  EXPECT_NO_THROW(off.check_reused_cost(model, state_, nodes, true, profile,
+                                        {-123.0, -123.0}, 7));
   EXPECT_EQ(off.checks_run(), 0u);
+}
+
+TEST_F(AuditorTest, ReusedCostCheckRunsAtCheapLevel) {
+  // Adaptive hands both sums of its winner to the start path; the check
+  // that re-prices them is a cheap-level one, like the sa cross-check.
+  StateAuditor cheap(tree_, AuditLevel::kCheap);
+  state_.allocate(1, true, std::vector<NodeId>{0, 1});
+  const CostModel model(tree_);
+  const std::vector<NodeId> nodes{2, 3, 4, 5};
+  const LeafCommProfile profile = alltoall_profile(tree_, nodes);
+  const CandidateCosts honest = fresh_costs(model, state_, nodes, profile);
+  ASSERT_NE(honest.hops, honest.hop_bytes);
+  EXPECT_NO_THROW(cheap.check_reused_cost(model, state_, nodes, true, profile,
+                                          {honest.hops, honest.hop_bytes}, 7));
+  EXPECT_EQ(cheap.checks_run(), 1u);
+}
+
+TEST_F(AuditorTest, PerturbedReusedSumFires) {
+  // Deliberate corruption: one passed-on sum off by one ulp, the other
+  // honest. The report names the diverging sum with both hexfloats.
+  const CostModel model(tree_);
+  const std::vector<NodeId> nodes{2, 3, 4, 5};
+  const LeafCommProfile profile = alltoall_profile(tree_, nodes);
+  const CandidateCosts honest = fresh_costs(model, state_, nodes, profile);
+  for (const bool perturb_hops : {true, false}) {
+    StateAuditor::ClaimedCosts claim{honest.hops, honest.hop_bytes};
+    double& bad = perturb_hops ? *claim.hops : *claim.hop_bytes;
+    bad = std::nextafter(bad, 0.0);
+    const std::string msg = violation_message([&] {
+      auditor_.check_reused_cost(model, state_, nodes, true, profile, claim,
+                                 9);
+    });
+    EXPECT_NE(msg.find("reused Eq. 6 price diverges"), std::string::npos);
+    EXPECT_NE(msg.find("job 9"), std::string::npos);
+    std::ostringstream hex;
+    hex << std::hexfloat << bad;
+    EXPECT_NE(msg.find(hex.str()), std::string::npos) << msg;
+  }
+}
+
+TEST_F(AuditorTest, PriceFromAnotherStateFires) {
+  // A select on one state followed by a start on another: the sums were
+  // honest for the state they were priced on, and no longer fit.
+  const CostModel model(tree_);
+  const std::vector<NodeId> nodes{2, 3, 4, 5};
+  const LeafCommProfile profile = alltoall_profile(tree_, nodes);
+  const CandidateCosts stale = fresh_costs(model, state_, nodes, profile);
+  state_.allocate(1, true, std::vector<NodeId>{0, 1, 6});
+  const std::string msg = violation_message([&] {
+    auditor_.check_reused_cost(model, state_, nodes, true, profile,
+                               {stale.hops, stale.hop_bytes}, 3);
+  });
+  EXPECT_NE(msg.find("reused Eq. 6 price diverges"), std::string::npos);
 }
 
 TEST(AuditLevelTest, EnvSelectsLevel) {

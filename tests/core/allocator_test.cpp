@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "core/adaptive_allocator.hpp"
@@ -324,6 +325,74 @@ TEST(AdaptiveAllocatorTest, PicksPricierCandidateForComputeJobs) {
   const double gc = cost_of(*g);
   const double bc = cost_of(*b);
   EXPECT_DOUBLE_EQ(picked_cost, std::max(gc, bc));
+}
+
+// An idle 4 x 8 tree: an 8-node request fits one leaf, where greedy and
+// balanced both take that leaf's first eight nodes.
+struct IdenticalPicks {
+  Tree tree = make_two_level_tree(4, 8);
+  ClusterState state{tree};
+  std::shared_ptr<CommCache> cache = std::make_shared<CommCache>(1 << 20);
+};
+
+TEST(AdaptiveAllocatorTest, IdenticalPicksArePricedOnce) {
+  IdenticalPicks f;
+  const auto request = comm_request(8, Pattern::kRecursiveHalvingVD);
+  ASSERT_EQ(GreedyAllocator().select(f.state, request),
+            BalancedAllocator().select(f.state, request));
+  const AdaptiveAllocator adaptive({}, f.cache);
+  ASSERT_TRUE(adaptive.select(f.state, request).has_value());
+  EXPECT_TRUE(adaptive.last_has_cost());
+  // One candidate priced: one profile lookup in the shared cache.
+  EXPECT_EQ(f.cache->stats().profile_hits + f.cache->stats().profile_misses,
+            1u);
+}
+
+TEST(AdaptiveAllocatorTest, IdenticalPicksGoToBalancedForBothJobClasses) {
+  IdenticalPicks f;
+  for (const bool comm : {true, false}) {
+    const AllocationRequest request =
+        comm ? comm_request(8) : compute_request(8);
+    ASSERT_EQ(GreedyAllocator().select(f.state, request),
+              BalancedAllocator().select(f.state, request));
+    const AdaptiveAllocator adaptive({}, f.cache);
+    const auto pick = adaptive.select(f.state, request);
+    ASSERT_TRUE(pick.has_value());
+    EXPECT_TRUE(adaptive.last_chose_balanced()) << "comm=" << comm;
+    EXPECT_EQ(*pick, *BalancedAllocator().select(f.state, request));
+  }
+}
+
+TEST(AdaptiveAllocatorTest, PassedOnSumsEqualAFreshWalk) {
+  // Identical picks and distinct picks alike: the winner's two sums and
+  // profile are exactly what a fresh candidate_costs computes.
+  const Tree tree = make_two_level_tree(4, 8);
+  ClusterState busy(tree);
+  busy.allocate(1, true, std::vector<NodeId>{0, 1, 2, 3});
+  IdenticalPicks idle;
+  for (const ClusterState* state : {&idle.state, &busy}) {
+    for (const bool comm : {true, false}) {
+      for (const bool hop_bytes : {false, true}) {
+        const CostOptions options{.hop_bytes = hop_bytes};
+        const AdaptiveAllocator adaptive(options, idle.cache);
+        const AllocationRequest request =
+            comm ? comm_request(8, Pattern::kRecursiveHalvingVD)
+                 : compute_request(8);
+        const auto pick = adaptive.select(*state, request);
+        ASSERT_TRUE(pick.has_value());
+        ASSERT_TRUE(adaptive.last_has_cost());
+        const LeafCommProfile& profile = idle.cache->profile(
+            request.pattern, 1, make_shape_key(tree, *pick));
+        EXPECT_EQ(adaptive.last_profile(), &profile);
+        const CostModel model(tree, options);
+        CostWorkspace ws;
+        const CandidateCosts fresh =
+            model.candidate_costs(*state, *pick, comm, profile, ws);
+        EXPECT_EQ(adaptive.last_costs(), fresh);
+        EXPECT_EQ(adaptive.last_cost(), model.selected(fresh));
+      }
+    }
+  }
 }
 
 TEST(AdaptiveAllocatorTest, NulloptWhenNothingFits) {

@@ -56,15 +56,20 @@ TEST_F(ProfileDiffFixture, ProfileMatchesReferenceAndFastKernelBitForBit) {
     for (const auto& shape_case : shapes)
       for (const int n : {8, 7})  // power of two and ragged
         for (const int rpn : {1, 4})
-          for (const bool hop_bytes : {false, true}) {
+          for (const bool include_candidate : {true, false}) {
             const std::string label =
                 std::string(pattern_name(pattern)) + "/" + shape_case.name +
                 "/n=" + std::to_string(n) + "/rpn=" + std::to_string(rpn) +
-                (hop_bytes ? "/hop-bytes" : "/hops");
+                (include_candidate ? "/overlay" : "/no-overlay");
             std::vector<NodeId> nodes(shape_case.nodes.begin(),
                                       shape_case.nodes.begin() + n);
-            const CostModel model(tree_,
-                                  CostOptions{.hop_bytes = hop_bytes});
+            // One model per Eq. 6 sum; the kernel walk serves both.
+            const CostModel plain(
+                tree_, CostOptions{.hop_bytes = false,
+                                   .include_candidate = include_candidate});
+            const CostModel weighted(
+                tree_, CostOptions{.hop_bytes = true,
+                                   .include_candidate = include_candidate});
             const double msize = 1024.0;
             const int nprocs = n * rpn;
             const auto schedule = make_schedule(pattern, nprocs, msize);
@@ -72,20 +77,32 @@ TEST_F(ProfileDiffFixture, ProfileMatchesReferenceAndFastKernelBitForBit) {
                 pattern, msize, make_shape_key(tree_, nodes), rpn);
             CostWorkspace ws;
 
-            // Committed-allocation pricing: profile vs pair-by-pair oracle.
-            const double via_profile =
-                model.candidate_cost(state_, nodes, false, profile, ws);
-            EXPECT_EQ(via_profile, oracle_candidate_cost(model, state_, nodes,
-                                                         rpn, false, schedule))
-                << label;
-
-            // Candidate pricing, with and without the self-overlay.
-            for (const bool comm : {true, false}) {
-              EXPECT_EQ(
-                  model.candidate_cost(state_, nodes, comm, profile, ws),
-                  oracle_candidate_cost(model, state_, nodes, rpn, comm,
-                                        schedule))
-                  << label << "/comm=" << comm;
+            // Committed-allocation pricing (no overlay) and candidate
+            // pricing with the job's own ranks overlaid when its options
+            // say so: both sums of one walk against each model's one-sum
+            // view and the pair-by-pair oracle.
+            for (const bool comm : {false, true}) {
+              SCOPED_TRACE(label + "/comm=" + std::to_string(comm));
+              const CandidateCosts both =
+                  plain.candidate_costs(state_, nodes, comm, profile, ws);
+              EXPECT_EQ(both,
+                        weighted.candidate_costs(state_, nodes, comm, profile,
+                                                 ws));
+              EXPECT_EQ(both.hops,
+                        plain.candidate_cost(state_, nodes, comm, profile, ws));
+              EXPECT_EQ(both.hop_bytes, weighted.candidate_cost(
+                                            state_, nodes, comm, profile, ws));
+              EXPECT_EQ(both.hops,
+                        oracle_candidate_cost(plain, state_, nodes, rpn, comm,
+                                              schedule));
+              EXPECT_EQ(both.hop_bytes,
+                        oracle_candidate_cost(weighted, state_, nodes, rpn,
+                                              comm, schedule));
+              // The delta session sums only the one its options select.
+              EXPECT_EQ(plain.delta_begin(state_, nodes, comm, profile, ws),
+                        both.hops);
+              EXPECT_EQ(weighted.delta_begin(state_, nodes, comm, profile, ws),
+                        both.hop_bytes);
             }
           }
 }

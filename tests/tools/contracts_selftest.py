@@ -10,7 +10,10 @@ virtual dispatch to an allocating override, unjustified static and
 mutable state on the
 run_cell worker path, a named thread root whose class lacks the method, a
 wall-clock read in src/sched/, an unordered-map iteration in src/exp/,
-and a trusted escape at both granularities. The
+a trusted escape at both granularities, and two escapes that must not
+reach past what they justify (a fact escape covers only the statement
+after it; a function's trailing escape does not annotate the next
+function). The
 driver runs analyze.py with --repo-root pointed at the fixture tree and
 asserts the exact rule ids, offending functions, call chains and trusted
 inventory — plus that --update-baseline makes a re-run exit clean.
@@ -45,9 +48,12 @@ EXPECTED_VIOLATIONS = [
      ["commsched::hot_entry", "commsched::append_twice"]),
     ("no-alloc", "commsched::append_twice",
      ["commsched::hot_entry", "commsched::append_twice"]),
+    ("no-alloc", "commsched::after_tail", ["commsched::after_tail"]),
     ("no-alloc", "commsched::box_event", ["commsched::box_event"]),
     ("no-alloc", "commsched::order_ids", ["commsched::order_ids"]),
     ("no-alloc", "commsched::order_ids", ["commsched::order_ids"]),
+    ("no-alloc", "commsched::sort_after_push",
+     ["commsched::sort_after_push"]),
     ("no-alloc", "commsched::sum_event", ["commsched::sum_event"]),
     ("no-alloc-unannotated", "commsched::GrowingPicker::select_into",
      ["commsched::drive", "commsched::GrowingPicker::select_into"]),
@@ -63,17 +69,22 @@ EXPECTED_VIOLATIONS = [
 EXPECTED_TRUSTED = [
     ("no-alloc", "function", "commsched::absorb"),
     ("no-alloc", "fact", "commsched::hot_trusted_entry"),
+    ("no-alloc", "fact", "commsched::sort_after_push"),
+    ("no-alloc", "fact", "commsched::tail_trusted"),
 ]
 
 EXPECTED_HOT_ROOTS = [
     "commsched::ReusingPicker::select_into",
+    "commsched::after_tail",
     "commsched::box_event",
     "commsched::drive",
     "commsched::hot_entry",
     "commsched::hot_trusted_entry",
     "commsched::order_ids",
+    "commsched::sort_after_push",
     "commsched::sort_ids",
     "commsched::sum_event",
+    "commsched::tail_trusted",
 ]
 
 

@@ -4,8 +4,9 @@ no-alloc      roots = every function annotated `// hot-path: no-alloc`.
               Everything reachable must (a) carry no allocation facts and
               (b) be annotated itself unless it is provably inert (no facts,
               no repo calls). `contract-trusted: no-alloc` prunes a subtree;
-              a trusted comment on the fact's own line (or the two lines
-              above) waives just that fact. Every waiver is inventoried.
+              a trusted comment trailing a statement, or in the comment
+              block right above it, waives that statement's facts only.
+              Every waiver is inventoried.
 
 thread-safe   roots = the campaign worker entry (run_cell), the methods
               named in NAMED_THREAD_ROOTS (the thread-pool worker loop, the

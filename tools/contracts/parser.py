@@ -42,7 +42,10 @@ TRUSTED_RE = re.compile(
 
 # How many lines above a signature an annotation comment may sit. The
 # convention is "directly above, possibly under other comment lines"; five
-# lines absorbs a short doc comment between annotation and signature.
+# lines absorbs a short doc comment between annotation and signature. The
+# window never reaches past a line holding a closing brace: an escape inside
+# (or trailing) the previous function's body is not an annotation of the
+# next one.
 ANNOTATION_WINDOW = 5
 
 
@@ -219,6 +222,9 @@ class FileParser:
         self.class_registry = class_registry or {}
         # line -> annotations found on that raw line
         self._ann_lines = self._collect_annotation_lines()
+        self.code_lines = self.code.split("\n")
+        # line -> fact-level escapes covering that line
+        self._fact_escapes = self._bind_fact_escapes()
 
     # -- annotations --------------------------------------------------------
 
@@ -238,23 +244,66 @@ class FileParser:
                 anns[lineno] = found
         return anns
 
+    def _has_code(self, lineno: int) -> bool:
+        return bool(self.code_lines[lineno - 1].strip())
+
+    def _statement_end(self, start: int) -> int:
+        """Last line of the statement that begins on line `start`: the line
+        of the first `;`, `{` or `}` outside parentheses and brackets (a
+        compound statement's escape covers its header, not its body)."""
+        depth = 0
+        for lineno in range(start, len(self.code_lines) + 1):
+            for c in self.code_lines[lineno - 1]:
+                if c in "([":
+                    depth += 1
+                elif c in ")]":
+                    depth = max(0, depth - 1)
+                elif depth == 0 and c in ";{}":
+                    return lineno
+        return len(self.code_lines)
+
+    def _bind_fact_escapes(self) -> dict[int, list[tuple[str, str]]]:
+        """Bind each `contract-trusted` comment to one statement: the one it
+        trails on a code line, else the first statement after its comment
+        block (a blank line ends the block and binds nothing)."""
+        bound: dict[int, list[tuple[str, str]]] = {}
+        n = len(self.code_lines)
+        for lineno, anns in self._ann_lines.items():
+            trusted = [a for a in anns if a[0].startswith("trusted:")]
+            if not trusted:
+                continue
+            start = lineno
+            if not self._has_code(start):
+                start += 1
+                while (start <= n and not self._has_code(start)
+                       and self.raw_lines[start - 1].strip()):
+                    start += 1
+                if start > n or not self._has_code(start):
+                    continue
+            for ln in range(start, self._statement_end(start) + 1):
+                bound.setdefault(ln, []).extend(trusted)
+        return bound
+
     def _fact(self, effect: Effect, lineno: int, evidence: str) -> Fact:
-        """Build a fact, honoring a fact-level `contract-trusted` comment on
-        the same line or the two lines above."""
+        """Build a fact, honoring a fact-level `contract-trusted` comment
+        bound to the statement on that line."""
         trusted = None
         family = EFFECT_FAMILY.get(effect)
         if family is not None:
-            for ln in range(max(1, lineno - 2), lineno + 1):
-                for kind, arg in self._ann_lines.get(ln, ()):
-                    if kind == f"trusted:{family}":
-                        trusted = arg
+            for kind, arg in self._fact_escapes.get(lineno, ()):
+                if kind == f"trusted:{family}":
+                    trusted = arg
         return Fact(effect, lineno, evidence, trusted)
 
     def _annotations_for(self, sig_line: int) -> Annotations:
-        """Annotations on the signature line or the comment block above it."""
+        """Annotations on the signature line or the comment block above it,
+        up to ANNOTATION_WINDOW lines and never past a closing brace."""
         out = Annotations()
-        for lineno in range(max(1, sig_line - ANNOTATION_WINDOW),
-                            sig_line + 1):
+        first = sig_line
+        while (first > max(1, sig_line - ANNOTATION_WINDOW)
+               and "}" not in self.code_lines[first - 2]):
+            first -= 1
+        for lineno in range(first, sig_line + 1):
             for kind, arg in self._ann_lines.get(lineno, ()):
                 if kind == "hot-path":
                     out.hot_path = True
