@@ -57,7 +57,10 @@ struct MoveProposal {
 /// Move generator for the SA allocator. Implementations keep any state in
 /// members reused across calls (the allocator's select() hot path is
 /// allocation-free) and must draw all randomness from the passed Rng so the
-/// anneal stays deterministic under a fixed seed.
+/// anneal stays deterministic under a fixed seed. An anneal may end before
+/// its budget or patience runs out (a one-slot anneal stops once every
+/// candidate leaf has been priced), so a policy must not count on a fixed
+/// number of propose() calls.
 class ProposalPolicy {
  public:
   virtual ~ProposalPolicy() = default;

@@ -73,29 +73,26 @@ bool SaAllocator::select_into(const ClusterState& state,
     return false;
   }
 
-  // Communication-intensive: anneal from adaptive's pick, at the cost
-  // adaptive priced it (it prices nothing when only one candidate existed).
+  // Communication-intensive: anneal from adaptive's pick, at the cost and
+  // with the profile adaptive priced it. Adaptive prices nothing when only
+  // one candidate existed; then one profile lookup serves both the seed
+  // price and the anneal.
   const CostModel model(state.tree(), cost_options_);
-  const double seed_cost =
-      adaptive_.last_has_cost()
-          ? adaptive_.last_cost()
-          : profiled_candidate_cost(model, *cache_, state, seed_,
-                                    /*comm_intensive=*/true, request.pattern,
-                                    workspace_);
-  last_cost_ = seed_cost;
+  const LeafCommProfile* profile = adaptive_.last_profile();
+  if (adaptive_.last_has_cost()) {
+    last_cost_ = adaptive_.last_cost();
+  } else {
+    profile =
+        &candidate_profile(*cache_, state.tree(), seed_, request.pattern);
+    last_cost_ = model.candidate_cost(state, seed_, /*comm_intensive=*/true,
+                                      *profile, workspace_);
+  }
   last_has_cost_ = true;
-
-  // contract-trusted: no-alloc: ShapeKey derivation and one-time profile
-  // construction are the same cached pricing path every profiled policy
-  // uses (allocator_common::profiled_candidate_cost)
-  const ShapeKey shape = make_shape_key(state.tree(), seed_);
-  const LeafCommProfile& profile =
-      cache_->profile(request.pattern, /*ranks_per_node=*/1, shape);
-  if (options_.budget <= 0 || profile.steps.empty()) {
+  if (options_.budget <= 0 || profile->steps.empty()) {
     out = seed_;
     return true;
   }
-  anneal(state, request, model, profile, shape, seed_, seed_cost, out);
+  anneal(state, request, model, *profile, seed_, last_cost_, out);
   return true;
 }
 
@@ -103,7 +100,7 @@ bool SaAllocator::select_into(const ClusterState& state,
 void SaAllocator::anneal(const ClusterState& state,
                          const AllocationRequest& request,
                          const CostModel& model,
-                         const LeafCommProfile& profile, const ShapeKey& shape,
+                         const LeafCommProfile& profile,
                          const std::vector<NodeId>& seed, double seed_cost,
                          std::vector<NodeId>& out) const {
   const Tree& tree = state.tree();
@@ -139,6 +136,26 @@ void SaAllocator::anneal(const ClusterState& state,
       // contract-trusted: no-alloc: leaf-count-bounded, capacity reused
       cand_leaves_.push_back(leaf);
 
+  // One slot: min_nodes is its size, so every candidate leaf can hold it,
+  // and every feasible proposal targets one. delta_begin priced the seed's
+  // leaf; once cost_delta has priced each other candidate, the walk ends.
+  // That is exact: the best changes only on a strict improvement, every
+  // cost below the best is accepted, and a delta price depends only on the
+  // slot -> leaf assignment, so no later proposal could change the best
+  // seen. Multi-slot anneals never arm the exit (unpriced stays at max).
+  const bool one_slot = k == 1;
+  std::size_t unpriced = std::numeric_limits<std::size_t>::max();
+  if (one_slot) {
+    ++priced_epoch_;
+    // contract-trusted: no-alloc: leaf-count-bounded, capacity reused
+    leaf_priced_.resize(static_cast<std::size_t>(tree.leaf_count()));
+    leaf_priced_[static_cast<std::size_t>(tree.leaf_index(cur_leaf_[0]))] =
+        priced_epoch_;
+    COMMSCHED_ASSERT_GE_MSG(cand_leaves_.size(), std::size_t{1},
+                            "the seed's leaf must be a candidate");
+    unpriced = cand_leaves_.size() - 1;
+  }
+
   const SaMoveContext ctx{&state, &tree, cur_leaf_, slot_nnodes_,
                           cand_leaves_};
   policy_->begin(ctx);
@@ -155,10 +172,19 @@ void SaAllocator::anneal(const ClusterState& state,
   MoveProposal prop;
   for (int it = 0; it < options_.budget; ++it) {
     if (options_.patience > 0 && since_best >= options_.patience) break;
+    if (unpriced == 0) break;
     if (!policy_->propose(ctx, rng, prop)) break;
     ++last_proposals_;
     bool new_best = false;
     if (move_feasible(state, prop)) {
+      if (one_slot) {
+        std::uint64_t& stamp = leaf_priced_[static_cast<std::size_t>(
+            tree.leaf_index(prop.moves[0].leaf))];
+        if (stamp != priced_epoch_) {
+          stamp = priced_epoch_;
+          --unpriced;
+        }
+      }
       const double cand = model.cost_delta(
           state, std::span<const SlotMove>(prop.moves.data(), prop.count),
           workspace_);
@@ -178,7 +204,7 @@ void SaAllocator::anneal(const ClusterState& state,
             last_accepts_ % options_.verify_stride == 0) {
           // Sampled oracle: the delta-maintained total must equal a full
           // recompute of the materialized placement, bit for bit.
-          materialize(state, shape, seed, cur_leaf_, verify_nodes_);
+          materialize(state, seed, cur_leaf_, verify_nodes_);
           const double full = model.candidate_cost(
               state, verify_nodes_, /*comm_intensive=*/true, profile,
               workspace_);
@@ -200,7 +226,7 @@ void SaAllocator::anneal(const ClusterState& state,
   }
 
   // Return the best placement *seen* — never costlier than the seed.
-  materialize(state, shape, seed, best_leaf_, out);
+  materialize(state, seed, best_leaf_, out);
   last_cost_ = best;
 }
 
@@ -235,41 +261,51 @@ bool SaAllocator::move_feasible(const ClusterState& state,
   return state.leaf_free(mv.leaf) >= slot_nnodes_[s];
 }
 
-// Rebuild the node list for a (possibly moved) slot assignment: unmoved
-// slots keep their seed nodes; a moved slot takes the first free nodes of
-// its leaf in ascending id order, consumed run by run. The emitted leaf
-// sequence replays the shape's runs with an injective slot -> leaf map in
-// the original first-appearance order, so the canonical ShapeKey — and with
-// it the cached profile — is preserved by construction.
+// Rebuild the node list for a (possibly moved) slot assignment by walking
+// the seed: a node's slot is the first-appearance slot of its leaf (the
+// numbering freeze_slots and the ShapeKey use); an unmoved slot keeps the
+// seed's node, a moved slot takes the next free node of its target leaf in
+// ascending id order. The slot -> leaf map is injective, so the rank -> slot
+// structure, the canonical ShapeKey and with it the cached profile are
+// preserved by construction.
 // hot-path: no-alloc
-void SaAllocator::materialize(const ClusterState& state, const ShapeKey& shape,
+void SaAllocator::materialize(const ClusterState& state,
                               const std::vector<NodeId>& seed,
                               std::span<const SwitchId> leaf_assign,
                               std::vector<NodeId>& out) const {
+  const Tree& tree = state.tree();
   out.clear();
-  // contract-trusted: no-alloc: output and cursor buffers bounded by the
-  // request's node count / slot count; capacity reused across calls
+  // contract-trusted: no-alloc: cursor buffer bounded by the slot count;
+  // capacity reused across calls
   slot_cursor_.assign(leaf_assign.size(), 0);
-  std::size_t pos = 0;
-  for (const auto& [slot, count] : shape.runs) {
-    const auto s = static_cast<std::size_t>(slot);
-    if (leaf_assign[s] == orig_leaf_[s]) {
-      for (std::int32_t c = 0; c < count; ++c)
-        // contract-trusted: no-alloc: out's capacity is bounded by the
-        // request's node count and reused across select() calls
-        out.push_back(seed[pos + static_cast<std::size_t>(c)]);
-    } else {
-      const std::span<const NodeId> free_span =
-          state.free_leaf_span(leaf_assign[s]);
-      std::int32_t& cur = slot_cursor_[s];
-      COMMSCHED_ASSERT_LE_MSG(
-          static_cast<std::size_t>(cur) + static_cast<std::size_t>(count),
-          free_span.size(), "moved slot does not fit its target leaf");
-      for (std::int32_t c = 0; c < count; ++c)
-        // contract-trusted: no-alloc: see the seed-copy branch above
-        out.push_back(free_span[static_cast<std::size_t>(cur++)]);
+  std::size_t numbered = 0;  // slots whose leaf the walk has met
+  std::size_t s = 0;         // slot of the current leaf run
+  SwitchId run_leaf = kInvalidSwitch;
+  for (const NodeId n : seed) {
+    const SwitchId leaf = tree.leaf_of(n);
+    if (leaf != run_leaf) {
+      run_leaf = leaf;
+      if (numbered < orig_leaf_.size() && orig_leaf_[numbered] == leaf) {
+        s = numbered++;
+      } else {  // a leaf met in an earlier run
+        s = 0;
+        while (s < numbered && orig_leaf_[s] != leaf) ++s;
+        COMMSCHED_ASSERT_LT_MSG(s, numbered, "seed node off its slots' leaves");
+      }
     }
-    pos += static_cast<std::size_t>(count);
+    if (leaf_assign[s] == orig_leaf_[s]) {
+      // contract-trusted: no-alloc: out's capacity is bounded by the
+      // request's node count and reused across select() calls
+      out.push_back(n);
+      continue;
+    }
+    const std::span<const NodeId> free_span =
+        state.free_leaf_span(leaf_assign[s]);
+    std::int32_t& cur = slot_cursor_[s];
+    COMMSCHED_ASSERT_LT_MSG(static_cast<std::size_t>(cur), free_span.size(),
+                            "moved slot does not fit its target leaf");
+    // contract-trusted: no-alloc: see the seed-copy branch above
+    out.push_back(free_span[static_cast<std::size_t>(cur++)]);
   }
 }
 

@@ -11,7 +11,9 @@
 // The final answer is the best placement *seen* during the walk, so for
 // communication-intensive jobs the result is never costlier than adaptive's
 // (bit-for-bit: seed and anneal price through the same kernel).
-// Compute-intensive jobs get adaptive's pick unchanged.
+// Compute-intensive jobs get adaptive's pick unchanged. A one-slot anneal
+// ends as soon as every leaf that can hold the job has been priced: no
+// later proposal could change the best seen.
 //
 // Moves relocate whole leaf slots (every node of one ShapeKey slot to a
 // currently slot-free leaf), which preserves the allocation's canonical
@@ -49,8 +51,11 @@ std::optional<SaProposalKind> sa_proposal_kind_from_string(
 
 /// Annealing knobs (slurm.conf: SelectTypeParameters=sa,sa_budget=...).
 struct SaOptions {
-  /// Proposals (cost evaluations) per communication-intensive select().
-  /// <= 0 disables the anneal: the allocator returns its seed.
+  /// Most proposals per communication-intensive select(). <= 0 disables
+  /// the anneal: the allocator returns its seed. An anneal may end before
+  /// its budget or patience runs out: a one-slot job stops once every leaf
+  /// that can hold it has been priced, so a proposal policy must not count
+  /// on a fixed number of proposals.
   int budget = 1200;
   /// Base seed; each job's stream is splitmix64(seed ^ splitmix64(job)), so
   /// per-job randomness is stateless across select() calls.
@@ -101,12 +106,11 @@ class SaAllocator final : public Allocator {
  private:
   void anneal(const ClusterState& state, const AllocationRequest& request,
               const CostModel& model, const LeafCommProfile& profile,
-              const ShapeKey& shape, const std::vector<NodeId>& seed,
-              double seed_cost, std::vector<NodeId>& out) const;
+              const std::vector<NodeId>& seed, double seed_cost,
+              std::vector<NodeId>& out) const;
   bool move_feasible(const ClusterState& state,
                      const MoveProposal& prop) const;
-  void materialize(const ClusterState& state, const ShapeKey& shape,
-                   const std::vector<NodeId>& seed,
+  void materialize(const ClusterState& state, const std::vector<NodeId>& seed,
                    std::span<const SwitchId> leaf_assign,
                    std::vector<NodeId>& out) const;
 
@@ -135,6 +139,11 @@ class SaAllocator final : public Allocator {
   mutable std::vector<std::int32_t> slot_nnodes_;
   // workspace: candidate target leaves, rebuilt per anneal.
   mutable std::vector<SwitchId> cand_leaves_;
+  // workspace: per dense leaf index, the one-slot anneal that last priced
+  // the leaf (== priced_epoch_: priced in the current anneal).
+  mutable std::vector<std::uint64_t> leaf_priced_;
+  // workspace: see leaf_priced_; bumped at every one-slot anneal entry.
+  mutable std::uint64_t priced_epoch_ = 0;
   // workspace: per-slot cursor into the target leaf's free span during
   // materialize().
   mutable std::vector<std::int32_t> slot_cursor_;

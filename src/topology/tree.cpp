@@ -6,28 +6,15 @@
 
 namespace commsched {
 
-namespace {
-// hot-path: no-alloc
-void check_switch(const Tree& t, SwitchId s) {
-  COMMSCHED_ASSERT_MSG(s >= 0 && s < t.switch_count(), "switch id out of range");
-}
-}  // namespace
-
-// hot-path: no-alloc
-int Tree::level(SwitchId s) const {
-  check_switch(*this, s);
-  return switches_[static_cast<std::size_t>(s)].level;
-}
-
 // hot-path: no-alloc
 SwitchId Tree::parent(SwitchId s) const {
-  check_switch(*this, s);
+  check_switch(s);
   return switches_[static_cast<std::size_t>(s)].parent;
 }
 
 // hot-path: no-alloc
 std::span<const SwitchId> Tree::children(SwitchId s) const {
-  check_switch(*this, s);
+  check_switch(s);
   return switches_[static_cast<std::size_t>(s)].children;
 }
 
@@ -39,35 +26,21 @@ std::span<const SwitchId> Tree::switches_at_level(int lvl) const {
 
 // hot-path: no-alloc
 std::span<const SwitchId> Tree::leaves_under(SwitchId s) const {
-  check_switch(*this, s);
+  check_switch(s);
   return switches_[static_cast<std::size_t>(s)].leaves_below;
 }
 
 // hot-path: no-alloc
 std::span<const NodeId> Tree::nodes_of_leaf(SwitchId s) const {
-  check_switch(*this, s);
+  check_switch(s);
   COMMSCHED_ASSERT_MSG(is_leaf(s), "nodes_of_leaf on a non-leaf switch");
   return switches_[static_cast<std::size_t>(s)].nodes;
 }
 
 // hot-path: no-alloc
 int Tree::node_count_under(SwitchId s) const {
-  check_switch(*this, s);
+  check_switch(s);
   return switches_[static_cast<std::size_t>(s)].subtree_nodes;
-}
-
-// hot-path: no-alloc
-SwitchId Tree::leaf_of(NodeId n) const {
-  COMMSCHED_ASSERT_MSG(n >= 0 && n < node_count(), "node id out of range");
-  return node_leaf_[static_cast<std::size_t>(n)];
-}
-
-// hot-path: no-alloc
-int Tree::leaf_index(SwitchId s) const {
-  check_switch(*this, s);
-  const std::int32_t idx = leaf_index_[static_cast<std::size_t>(s)];
-  COMMSCHED_ASSERT_MSG(idx >= 0, "leaf_index on a non-leaf switch");
-  return idx;
 }
 
 // hot-path: no-alloc
@@ -75,13 +48,6 @@ SwitchId Tree::leaf_lca(SwitchId la, SwitchId lb) const {
   const auto row = static_cast<std::size_t>(leaf_index(la));
   const auto col = static_cast<std::size_t>(leaf_index(lb));
   return leaf_lca_[row * static_cast<std::size_t>(leaf_count()) + col];
-}
-
-// hot-path: no-alloc
-int Tree::leaf_distance(SwitchId la, SwitchId lb) const {
-  const auto row = static_cast<std::size_t>(leaf_index(la));
-  const auto col = static_cast<std::size_t>(leaf_index(lb));
-  return leaf_dist_[row * static_cast<std::size_t>(leaf_count()) + col];
 }
 
 // hot-path: no-alloc
@@ -106,7 +72,7 @@ const std::string& Tree::node_name(NodeId n) const {
 }
 
 const std::string& Tree::switch_name(SwitchId s) const {
-  check_switch(*this, s);
+  check_switch(s);
   return switches_[static_cast<std::size_t>(s)].name;
 }
 

@@ -23,6 +23,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "util/assert.hpp"
+
 namespace commsched {
 
 using NodeId = std::int32_t;
@@ -99,6 +101,8 @@ class Tree {
   friend class TreeBuilder;
   Tree() = default;
 
+  void check_switch(SwitchId s) const;
+
   struct SwitchRec {
     std::string name;
     SwitchId parent = kInvalidSwitch;
@@ -127,6 +131,41 @@ class Tree {
   SwitchId root_ = kInvalidSwitch;
   int depth_ = 0;
 };
+
+// The O(1) accessors the cost kernel and the allocators call per node or
+// per leaf pair are defined here so they inline.
+
+// hot-path: no-alloc
+inline void Tree::check_switch(SwitchId s) const {
+  COMMSCHED_ASSERT_MSG(s >= 0 && s < switch_count(), "switch id out of range");
+}
+
+// hot-path: no-alloc
+inline int Tree::level(SwitchId s) const {
+  check_switch(s);
+  return switches_[static_cast<std::size_t>(s)].level;
+}
+
+// hot-path: no-alloc
+inline SwitchId Tree::leaf_of(NodeId n) const {
+  COMMSCHED_ASSERT_MSG(n >= 0 && n < node_count(), "node id out of range");
+  return node_leaf_[static_cast<std::size_t>(n)];
+}
+
+// hot-path: no-alloc
+inline int Tree::leaf_index(SwitchId s) const {
+  check_switch(s);
+  const std::int32_t idx = leaf_index_[static_cast<std::size_t>(s)];
+  COMMSCHED_ASSERT_MSG(idx >= 0, "leaf_index on a non-leaf switch");
+  return idx;
+}
+
+// hot-path: no-alloc
+inline int Tree::leaf_distance(SwitchId la, SwitchId lb) const {
+  const auto row = static_cast<std::size_t>(leaf_index(la));
+  const auto col = static_cast<std::size_t>(leaf_index(lb));
+  return leaf_dist_[row * static_cast<std::size_t>(leaf_count()) + col];
+}
 
 /// Incremental construction of a Tree. Leaves must be added before any
 /// internal switch that references them; build() validates the result.

@@ -5,13 +5,6 @@
 
 namespace commsched {
 
-namespace {
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-
-}  // namespace
-
 Rng::Rng(std::uint64_t seed) noexcept {
   // SplitMix64 stream seeded at `seed` (the stateless mixer in rng.hpp is
   // exactly one step of this stream).
@@ -20,38 +13,6 @@ Rng::Rng(std::uint64_t seed) noexcept {
     word = splitmix64(s);
     s += 0x9e3779b97f4a7c15ULL;
   }
-}
-
-std::uint64_t Rng::operator()() noexcept {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
-std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
-  COMMSCHED_ASSERT(lo <= hi);
-  const auto range = static_cast<std::uint64_t>(hi - lo) + 1;
-  if (range == 0) return static_cast<std::int64_t>((*this)());  // full range
-  // Lemire-style rejection sampling to avoid modulo bias.
-  const std::uint64_t limit = ~std::uint64_t{0} - (~std::uint64_t{0} % range);
-  std::uint64_t x;
-  do {
-    x = (*this)();
-  } while (x > limit);
-  return lo + static_cast<std::int64_t>(x % range);
-}
-
-double Rng::uniform_real(double lo, double hi) {
-  COMMSCHED_ASSERT(lo <= hi);
-  // 53 random bits -> [0, 1) double.
-  const double u = static_cast<double>((*this)() >> 11) * 0x1.0p-53;
-  return lo + u * (hi - lo);
 }
 
 double Rng::normal() {
@@ -79,12 +40,6 @@ double Rng::weibull(double shape, double scale) {
   double u = 0.0;
   while (u == 0.0) u = uniform_real(0.0, 1.0);
   return scale * std::pow(-std::log(u), 1.0 / shape);
-}
-
-// hot-path: no-alloc
-bool Rng::bernoulli(double p) {
-  COMMSCHED_ASSERT(p >= 0.0 && p <= 1.0);
-  return uniform_real(0.0, 1.0) < p;
 }
 
 std::size_t Rng::discrete(std::span<const double> weights) {

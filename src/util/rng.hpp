@@ -84,7 +84,52 @@ class Rng {
                                                       std::size_t k);
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t state_[4];
 };
+
+// The per-draw helpers below are defined here so they inline: the
+// simulated-annealing allocator draws several variates per proposal.
+
+inline std::uint64_t Rng::operator()() noexcept {
+  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+  const std::uint64_t t = state_[1] << 17;
+  state_[2] ^= state_[0];
+  state_[3] ^= state_[1];
+  state_[1] ^= state_[2];
+  state_[0] ^= state_[3];
+  state_[2] ^= t;
+  state_[3] = rotl(state_[3], 45);
+  return result;
+}
+
+inline std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
+  COMMSCHED_ASSERT(lo <= hi);
+  const auto range = static_cast<std::uint64_t>(hi - lo) + 1;
+  if (range == 0) return static_cast<std::int64_t>((*this)());  // full range
+  // Lemire-style rejection sampling to avoid modulo bias.
+  const std::uint64_t limit = ~std::uint64_t{0} - (~std::uint64_t{0} % range);
+  std::uint64_t x;
+  do {
+    x = (*this)();
+  } while (x > limit);
+  return lo + static_cast<std::int64_t>(x % range);
+}
+
+inline double Rng::uniform_real(double lo, double hi) {
+  COMMSCHED_ASSERT(lo <= hi);
+  // 53 random bits -> [0, 1) double.
+  const double u = static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+  return lo + u * (hi - lo);
+}
+
+// hot-path: no-alloc
+inline bool Rng::bernoulli(double p) {
+  COMMSCHED_ASSERT(p >= 0.0 && p <= 1.0);
+  return uniform_real(0.0, 1.0) < p;
+}
 
 }  // namespace commsched

@@ -1,0 +1,262 @@
+// The one-slot exit of the simulated-annealing allocator (DESIGN.md
+// "Delta-cost evaluation & search allocators"): a one-slot anneal ends once
+// every leaf that can hold the job has been priced. The exit must be exact.
+// On fuzzed, partially occupied states the allocator's placement and
+// last_cost() must equal a reference walk without the exit
+// (tests/support/sa_reference) bit for bit. Only the proposal and accept
+// counts may fall, and only on one-slot requests. A simulator leg replays
+// sa runs on fuzzed logs against the same reference; under
+// COMMSCHED_AUDIT=full it also re-prices every accept of the shortened
+// anneals (verify_stride 1) and checks each claimed cost.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <unordered_map>
+#include <vector>
+
+#include "core/allocator_factory.hpp"
+#include "core/degradation_model.hpp"
+#include "core/sa_allocator.hpp"
+#include "sched/simulator.hpp"
+#include "support/sa_reference.hpp"
+#include "topology/builders.hpp"
+#include "util/rng.hpp"
+#include "workload/mixes.hpp"
+#include "workload/synthetic.hpp"
+
+namespace commsched {
+namespace {
+
+constexpr Pattern kPatterns[] = {
+    Pattern::kRecursiveDoubling, Pattern::kRecursiveHalvingVD,
+    Pattern::kBinomial, Pattern::kRing, Pattern::kPairwiseAlltoall};
+
+// Background jobs fill each leaf to a random level: some leaves stay
+// empty, some fill up, the rest are peppered. Candidate-leaf counts then
+// vary from request to request.
+ClusterState fuzz_state(const Tree& tree, std::uint64_t seed) {
+  ClusterState state(tree);
+  Rng rng(seed);
+  JobId job = 1;
+  for (const SwitchId leaf : tree.leaves()) {
+    const double fill = rng.bernoulli(0.25)   ? 0.0
+                        : rng.bernoulli(0.2) ? 1.0
+                                             : rng.uniform_real(0.1, 0.9);
+    std::vector<NodeId> taken;
+    for (const NodeId n : tree.nodes_of_leaf(leaf))
+      if (rng.bernoulli(fill)) taken.push_back(n);
+    if (!taken.empty()) state.allocate(job++, rng.bernoulli(0.6), taken);
+  }
+  return state;
+}
+
+int max_leaf_free(const ClusterState& state) {
+  int most = 0;
+  for (const SwitchId leaf : state.tree().leaves())
+    most = std::max(most, state.leaf_free(leaf));
+  return most;
+}
+
+// Request sizes that fit in one leaf and sizes that must span several.
+std::vector<int> request_sizes(const ClusterState& state, int multi_cap) {
+  const int one_leaf = max_leaf_free(state);
+  std::vector<int> sizes;
+  for (const int n : {2, one_leaf / 2, one_leaf})
+    if (n >= 2) sizes.push_back(n);
+  const int total = std::min(state.total_free(), multi_cap);
+  for (const int n : {one_leaf + 1, (one_leaf + 1 + total) / 2})
+    if (n > one_leaf && n <= total) sizes.push_back(n);
+  std::sort(sizes.begin(), sizes.end());
+  sizes.erase(std::unique(sizes.begin(), sizes.end()), sizes.end());
+  return sizes;
+}
+
+struct ExitCounts {
+  int one_slot = 0;         // priced one-slot anneals
+  int one_slot_fewer = 0;   // ... that ended before the reference walk did
+  int one_candidate = 0;    // ... whose only candidate was the seed's leaf
+  int multi_slot = 0;
+};
+
+// One select of the allocator against the reference walk.
+void compare(const SaAllocator& sa, const ClusterState& state,
+             const AllocationRequest& request, const CostOptions& cost_options,
+             const SaOptions& options, const std::shared_ptr<CommCache>& cache,
+             ExitCounts& counts) {
+  std::vector<NodeId> got;
+  const bool found = sa.select_into(state, request, got);
+  const ReferenceSaPick want =
+      reference_sa_select(state, request, cost_options, options, cache);
+  ASSERT_EQ(found, want.found);
+  EXPECT_EQ(got, want.nodes);
+  ASSERT_EQ(sa.last_has_cost(), want.has_cost);
+  EXPECT_EQ(sa.last_cost(), want.cost);  // bit for bit
+  EXPECT_LE(sa.last_proposals(), want.proposals);
+  EXPECT_LE(sa.last_accepts(), want.accepts);
+  if (want.slots > 1) {
+    ++counts.multi_slot;
+    EXPECT_EQ(sa.last_proposals(), want.proposals);
+    EXPECT_EQ(sa.last_accepts(), want.accepts);
+  } else if (want.slots == 1 && want.proposals > 0) {
+    ++counts.one_slot;
+    if (sa.last_proposals() < want.proposals) ++counts.one_slot_fewer;
+    if (want.candidate_leaves == 1) {
+      ++counts.one_candidate;
+      EXPECT_EQ(sa.last_proposals(), 0);
+    }
+  }
+}
+
+void sweep_tree(const Tree& tree, const std::vector<std::uint64_t>& seeds,
+                int multi_cap, ExitCounts& counts) {
+  // A cache of the allocator's default base message size, private to the
+  // reference walk.
+  const auto cache = std::make_shared<CommCache>(double{1 << 20});
+  JobId job = 5000;
+  for (const std::uint64_t seed : seeds) {
+    const ClusterState state = fuzz_state(tree, seed);
+    for (const int n : request_sizes(state, multi_cap)) {
+      for (const Pattern pattern : kPatterns) {
+        AllocationRequest request;
+        request.job = job++;
+        request.num_nodes = n;
+        request.comm_intensive = true;
+        request.pattern = pattern;
+        for (const bool hop_bytes : {false, true}) {
+          const CostOptions cost_options{.hop_bytes = hop_bytes};
+          for (const SaProposalKind proposal :
+               {SaProposalKind::kUniform, SaProposalKind::kLocality}) {
+            for (const int stride : {0, 1}) {
+              SaOptions options;
+              options.proposal = proposal;
+              options.verify_stride = stride;
+              const SaAllocator sa(cost_options, options);
+              SCOPED_TRACE("seed " + std::to_string(seed) + " nodes " +
+                           std::to_string(n) + " " + pattern_name(pattern) +
+                           (hop_bytes ? " hop-bytes " : " hops ") +
+                           sa_proposal_kind_name(proposal) + " stride " +
+                           std::to_string(stride));
+              compare(sa, state, request, cost_options, options, cache,
+                      counts);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+void expect_coverage(const ExitCounts& counts) {
+  EXPECT_GT(counts.one_slot, 0);
+  EXPECT_GT(counts.one_slot_fewer, 0);
+  EXPECT_GT(counts.multi_slot, 0);
+}
+
+TEST(SaExitTest, TwoLevelTreeMatchesTheReferenceWalk) {
+  ExitCounts counts;
+  sweep_tree(make_two_level_tree(8, 16), {1, 2, 3}, 96, counts);
+  expect_coverage(counts);
+  // Some requests fit only the seed's leaf; compare() expects no proposal.
+  EXPECT_GT(counts.one_candidate, 0);
+}
+
+TEST(SaExitTest, ThreeLevelTreeMatchesTheReferenceWalk) {
+  ExitCounts counts;
+  sweep_tree(make_three_level_tree(3, 4, 8), {4, 5, 6}, 64, counts);
+  expect_coverage(counts);
+}
+
+TEST(SaExitTest, ThetaTreeMatchesTheReferenceWalk) {
+  // Theta's 366-node leaves hold most jobs whole, which is where the exit
+  // pays off.
+  ExitCounts counts;
+  sweep_tree(make_theta(), {7, 8}, 800, counts);
+  expect_coverage(counts);
+}
+
+// Theta-shaped logs scaled onto an 8 x 16 tree, with requests of 2 to 64
+// nodes (many fit one leaf, the rest span several) and every pattern in the
+// mix.
+JobLog fuzz_log(const Tree& tree, int n_jobs, std::uint64_t seed) {
+  LogProfile profile = scale_profile(theta_profile(), tree.node_count());
+  profile.min_exp = 1;
+  profile.max_exp = 6;
+  JobLog log = generate_log(profile, n_jobs, seed);
+  MixSpec spec = uniform_mix(Pattern::kRecursiveDoubling, 0.8);
+  spec.patterns = {{Pattern::kRecursiveDoubling, 1.0},
+                   {Pattern::kRecursiveHalvingVD, 1.0},
+                   {Pattern::kBinomial, 1.0},
+                   {Pattern::kRing, 1.0},
+                   {Pattern::kPairwiseAlltoall, 1.0}};
+  apply_mix(log, spec, seed ^ 0x9E3779B97F4A7C15ull);
+  return log;
+}
+
+TEST(SaExitTest, SimulatorStartsMatchTheReferenceWalk) {
+  // The audit level is left to COMMSCHED_AUDIT: at full, every accept of
+  // the shortened anneals is re-priced and every claimed cost re-checked.
+  const Tree tree = make_two_level_tree(8, 16);
+  int one_slot_starts = 0;
+  for (const std::uint64_t seed : {7ull, 19ull}) {
+    const JobLog log = fuzz_log(tree, 100, seed);
+    for (const SaProposalKind proposal :
+         {SaProposalKind::kUniform, SaProposalKind::kLocality}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " " +
+                   sa_proposal_kind_name(proposal));
+      std::vector<TraceEvent> trace;
+      SchedOptions options;
+      options.allocator = AllocatorKind::kSa;
+      options.sa.budget = 400;
+      options.sa.proposal = proposal;
+      options.trace = [&trace](const TraceEvent& e) { trace.push_back(e); };
+      const SimResult sim = run_continuous(tree, log, options);
+      ASSERT_EQ(sim.jobs.size(), log.size());
+
+      // Replay the run's starts and ends on a private state; each start
+      // selects through the reference walk, and its placement's unweighted
+      // Eq. 6 cost must be the one the simulator recorded.
+      std::unordered_map<WorkloadJobId, std::size_t> index_of;
+      for (std::size_t i = 0; i < log.size(); ++i)
+        index_of.emplace(log[i].id, i);
+      ClusterState state(tree);
+      const auto cache = std::make_shared<CommCache>(log.front().msize);
+      const CostModel model(tree, options.cost_options);
+      CostWorkspace ws;
+      for (const TraceEvent& event : trace) {
+        const std::size_t idx = index_of.at(event.job);
+        const JobRecord& job = log[idx];
+        const auto id = static_cast<JobId>(idx) + 1;  // the simulator's
+        if (event.kind == TraceEvent::Kind::kEnd) state.release(id);
+        if (event.kind != TraceEvent::Kind::kStart) continue;
+        AllocationRequest request;
+        request.job = id;
+        request.num_nodes = job.num_nodes;
+        request.comm_intensive = job.comm_intensive;
+        request.pattern = job.pattern;
+        const ReferenceSaPick pick = reference_sa_select(
+            state, request, options.cost_options, options.sa, cache);
+        ASSERT_TRUE(pick.found) << "job index " << idx;
+        const bool price_comm = job.comm_intensive && job.num_nodes >= 2;
+        if (price_comm) {
+          const CandidateCosts costs = model.candidate_costs(
+              state, pick.nodes, true,
+              cache->profile(job.pattern, /*ranks_per_node=*/1,
+                             make_shape_key(tree, pick.nodes)),
+              ws);
+          EXPECT_EQ(sim.jobs[idx].cost, costs.hops) << "job index " << idx;
+          if (pick.slots == 1) ++one_slot_starts;
+        }
+        state.allocate(id, job.comm_intensive, pick.nodes, job.io_intensive,
+                       DegradationModel::quantize_load(price_comm,
+                                                       job.comm_fraction));
+      }
+    }
+  }
+  EXPECT_GT(one_slot_starts, 0);
+}
+
+}  // namespace
+}  // namespace commsched

@@ -18,10 +18,14 @@
 namespace commsched {
 namespace {
 
-void expect_identical(const SimResult& fast, const SimResult& ref,
-                      const std::string& label) {
+// Returns how many jobs' placements priced apart from default's (an Eq. 7
+// ratio other than 1), so a leg can show it exercised that path.
+int expect_identical(const SimResult& fast, const SimResult& ref,
+                     const std::string& label) {
   SCOPED_TRACE(label);
-  ASSERT_EQ(fast.jobs.size(), ref.jobs.size());
+  EXPECT_EQ(fast.jobs.size(), ref.jobs.size());
+  if (fast.jobs.size() != ref.jobs.size()) return 0;
+  int priced_apart = 0;
   EXPECT_EQ(fast.allocator_name, ref.allocator_name);
   EXPECT_EQ(fast.makespan, ref.makespan);  // exact, not near
   for (std::size_t i = 0; i < ref.jobs.size(); ++i) {
@@ -39,6 +43,7 @@ void expect_identical(const SimResult& fast, const SimResult& ref,
     EXPECT_EQ(f.actual_runtime, r.actual_runtime);
     EXPECT_EQ(f.cost, r.cost);
     EXPECT_EQ(f.cost_default, r.cost_default);
+    if (r.cost != r.cost_default) ++priced_apart;
     EXPECT_EQ(f.io_cost, r.io_cost);
     EXPECT_EQ(f.io_cost_default, r.io_cost_default);
     EXPECT_EQ(f.hit_walltime, r.hit_walltime);
@@ -47,15 +52,16 @@ void expect_identical(const SimResult& fast, const SimResult& ref,
   EXPECT_EQ(fast.cache_stats.profile_hits, ref.cache_stats.profile_hits);
   EXPECT_EQ(fast.cache_stats.profile_misses,
             ref.cache_stats.profile_misses);
+  return priced_apart;
 }
 
-void run_both_and_compare(const Tree& tree, const JobLog& log,
-                          SchedOptions options, const std::string& label) {
+int run_both_and_compare(const Tree& tree, const JobLog& log,
+                         SchedOptions options, const std::string& label) {
   options.engine = SimEngine::kFast;
   const SimResult fast = run_continuous(tree, log, options);
   options.engine = SimEngine::kReference;
   const SimResult ref = run_continuous(tree, log, options);
-  expect_identical(fast, ref, label);
+  return expect_identical(fast, ref, label);
 }
 
 JobLog fuzz_log(const Tree& tree, int n_jobs, std::uint64_t seed,
@@ -82,6 +88,22 @@ TEST(EngineDiffTest, FuzzedLogsAcrossAllocators) {
                                " allocator " + allocator_kind_name(kind));
     }
   }
+  // On the 4 x 8 tree the jobs are so small that every placement prices
+  // like default's; on an 8 x 16 tree the Eq. 7 ratio leaves 1.
+  const Tree wide = make_two_level_tree(8, 16);
+  int priced_apart = 0;
+  for (const std::uint64_t seed : {11ull, 22ull}) {
+    const JobLog log = fuzz_log(wide, 160, seed);
+    for (const AllocatorKind kind : kAllAllocatorKinds) {
+      SchedOptions options;
+      options.allocator = kind;
+      priced_apart += run_both_and_compare(
+          wide, log, options,
+          std::string("8x16 seed ") + std::to_string(seed) + " allocator " +
+              allocator_kind_name(kind));
+    }
+  }
+  EXPECT_GT(priced_apart, 0);
 }
 
 TEST(EngineDiffTest, QueuePoliciesTimesBackfill) {
@@ -145,19 +167,24 @@ TEST(EngineDiffTest, ExclusiveAndIoAwareAllocators) {
 // proposal policies and with the in-anneal delta-vs-full verification on.
 TEST(EngineDiffTest, SimulatedAnnealingAllocator) {
   const Tree tree = make_two_level_tree(4, 8);
+  const Tree wide = make_two_level_tree(8, 16);
+  int priced_apart = 0;  // on the 8 x 16 leg, see FuzzedLogsAcrossAllocators
   for (const std::uint64_t seed : {13ull, 29ull}) {
-    const JobLog log = fuzz_log(tree, 140, seed);
     for (const SaProposalKind proposal :
          {SaProposalKind::kUniform, SaProposalKind::kLocality}) {
       SchedOptions options;
       options.allocator = AllocatorKind::kSa;
       options.sa.budget = 300;  // keep the diff test fast; plenty of accepts
       options.sa.proposal = proposal;
-      run_both_and_compare(tree, log, options,
-                           "seed " + std::to_string(seed) + " proposal " +
-                               sa_proposal_kind_name(proposal));
+      const std::string label = "seed " + std::to_string(seed) +
+                                " proposal " +
+                                sa_proposal_kind_name(proposal);
+      run_both_and_compare(tree, fuzz_log(tree, 140, seed), options, label);
+      priced_apart += run_both_and_compare(wide, fuzz_log(wide, 140, seed),
+                                           options, "8x16 " + label);
     }
   }
+  EXPECT_GT(priced_apart, 0);
   // Full audit layers the auditor's from-scratch claimed-cost cross-check
   // and verify_stride=1 in-anneal recomputes on top of the engine diff.
   const JobLog log = fuzz_log(tree, 60, 5);
