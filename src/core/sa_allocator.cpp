@@ -62,6 +62,7 @@ bool SaAllocator::select_into(const ClusterState& state,
                               std::vector<NodeId>& out) const {
   last_has_cost_ = false;
   last_cost_ = 0.0;
+  last_profile_ = nullptr;
   last_proposals_ = 0;
   last_accepts_ = 0;
   // Compute-intensive: adaptive's rule (§4.3) as is. No anneal: the job is
@@ -88,6 +89,7 @@ bool SaAllocator::select_into(const ClusterState& state,
                                       *profile, workspace_);
   }
   last_has_cost_ = true;
+  last_profile_ = profile;
   if (options_.budget <= 0 || profile->steps.empty()) {
     out = seed_;
     return true;

@@ -99,6 +99,12 @@ class SaAllocator final : public Allocator {
   /// cross-checks this against a full recompute of the committed placement.
   double last_cost() const noexcept { return last_cost_; }
   bool last_has_cost() const noexcept { return last_has_cost_; }
+  /// The cached profile last_cost() was priced with (null unless
+  /// last_has_cost()): the seed's, which every slot move keeps (see
+  /// materialize), so it is the returned placement's profile too.
+  const LeafCommProfile* last_profile() const noexcept {
+    return last_profile_;
+  }
   /// Anneal diagnostics of the last select() (bench reporting).
   int last_proposals() const noexcept { return last_proposals_; }
   int last_accepts() const noexcept { return last_accepts_; }
@@ -154,6 +160,8 @@ class SaAllocator final : public Allocator {
   mutable double last_cost_ = 0.0;
   // workspace: see last_cost_.
   mutable bool last_has_cost_ = false;
+  // workspace: see last_cost_; points into cache_, whose entries stay put.
+  mutable const LeafCommProfile* last_profile_ = nullptr;
   // workspace: see last_cost_.
   mutable int last_proposals_ = 0;
   // workspace: see last_cost_.

@@ -1,8 +1,11 @@
 #include "sched/simulator.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <deque>
+#include <limits>
+#include <tuple>
 
 #include "audit/auditor.hpp"
 #include "cluster/state.hpp"
@@ -327,7 +330,7 @@ class Simulation {
 
   void queue_push(std::size_t idx) {
     if (options_.engine == SimEngine::kFast)
-      pending_set_.insert(rank_of_[idx]);
+      pending_insert(rank_of_[idx]);
     else
       pending_.push_back(idx);
   }
@@ -342,8 +345,37 @@ class Simulation {
           [&](std::size_t a, std::size_t b) { return queue_before(a, b); });
     }
     rank_of_.resize(n);
-    for (std::size_t r = 0; r < n; ++r) rank_of_[idx_of_rank_[r]] = r;
+    nodes_of_rank_.resize(n);
+    for (std::size_t r = 0; r < n; ++r) {
+      rank_of_[idx_of_rank_[r]] = r;
+      nodes_of_rank_[r] = log_[idx_of_rank_[r]].num_nodes;
+    }
     pending_set_.reset(n);
+    word_floor_.assign((n + kWordBits - 1) / kWordBits, kEmptyFloor);
+  }
+
+  // The fast engine's pending set and its per-word floors move together: an
+  // insert lowers its word's floor, an erase re-derives it only when the
+  // erased job held it.
+  // hot-path: no-alloc
+  void pending_insert(std::size_t r) {
+    pending_set_.insert(r);
+    int& floor = word_floor_[r / kWordBits];
+    floor = std::min(floor, nodes_of_rank_[r]);
+  }
+
+  // hot-path: no-alloc
+  void pending_erase(std::size_t r) {
+    pending_set_.erase(r);
+    const std::size_t w = r / kWordBits;
+    if (nodes_of_rank_[r] != word_floor_[w]) return;
+    int floor = kEmptyFloor;
+    for (std::uint64_t bits = pending_set_.word(w); bits != 0;
+         bits &= bits - 1)
+      floor = std::min(floor, nodes_of_rank_[w * kWordBits +
+                                             static_cast<std::size_t>(
+                                                 std::countr_zero(bits))]);
+    word_floor_[w] = floor;
   }
 
   // ---- Running set, engine-dispatched ------------------------------------
@@ -520,39 +552,70 @@ class Simulation {
       const std::size_t head = idx_of_rank_[head_rank];
       if (!try_select_into(head, select_scratch_)) break;
       start_job(head, t, select_scratch_);
-      pending_set_.erase(head_rank);
+      pending_erase(head_rank);
     }
     if (pending_set_.empty() || !options_.easy_backfill) return;
     backfill_fast(t);
   }
 
+  // The reference's candidate loop, one 64-rank word at a time. The same
+  // candidates count against backfill_depth: the first backfill_depth
+  // pending ranks after the head, starts included. try_select_into refuses
+  // a job larger than the free count before any policy runs, and that count
+  // changes within a pass only at a start, so a word whose floor exceeds it
+  // holds no job that could start: it is skipped whole, its jobs counted by
+  // popcount. In a word that is walked, only a job that fits the count
+  // reads its log record; the head reservation is computed for the first
+  // such job and again after each start.
   // hot-path: no-alloc
   void backfill_fast(double t) {
-    int examined = 0;
-    auto reservation = head_reservation_fast();
+    int budget = options_.backfill_depth;  // candidates left to examine
+    int free_nodes = state_.total_free();
+    bool reserved = false;
+    double shadow_time = 0.0;
+    int extra_nodes = 0;
     const std::size_t head_rank = pending_set_.first();
-    std::size_t r = pending_set_.next(head_rank);
-    while (r != IndexSet::npos) {
-      if (++examined > options_.backfill_depth) break;
-      const auto [shadow_time, extra_nodes] = reservation;
-      const std::size_t idx = idx_of_rank_[r];
-      const JobRecord& job = log_[idx];
-      const bool harmless = (t + job.walltime <= shadow_time) ||
-                            (job.num_nodes <= extra_nodes);
-      const bool started = harmless && try_select_into(idx, select_scratch_);
-      if (started) {
-        auditor_.check_backfill(t, job_id(idx), job.walltime, job.num_nodes,
-                                shadow_time, extra_nodes);
-        start_job(idx, t, select_scratch_);
-        // Successor before erase: the erased rank's next is the candidate
-        // the reference engine's position-preserving erase lands on.
-        const std::size_t nr = pending_set_.next(r);
-        pending_set_.erase(r);
-        r = nr;
-        reservation = head_reservation_fast();
+    std::size_t w = head_rank / kWordBits;
+    // The head's word, from the rank after the head on.
+    std::uint64_t bits = pending_set_.word(w) &
+                         ~(~std::uint64_t{0} >>
+                           (kWordBits - 1 - head_rank % kWordBits));
+    for (;;) {
+      if (word_floor_[w] > free_nodes) {
+        const int count = std::popcount(bits);
+        if (count >= budget) return;
+        budget -= count;
       } else {
-        r = pending_set_.next(r);
+        for (; bits != 0; bits &= bits - 1) {
+          if (budget <= 0) return;
+          --budget;
+          const std::size_t r =
+              w * kWordBits + static_cast<std::size_t>(std::countr_zero(bits));
+          if (nodes_of_rank_[r] > free_nodes) continue;
+          if (!reserved) {
+            std::tie(shadow_time, extra_nodes) = head_reservation_fast();
+            reserved = true;
+          }
+          const std::size_t idx = idx_of_rank_[r];
+          const JobRecord& job = log_[idx];
+          const bool harmless = (t + job.walltime <= shadow_time) ||
+                                (job.num_nodes <= extra_nodes);
+          if (!harmless || !try_select_into(idx, select_scratch_)) continue;
+          auditor_.check_backfill(t, job_id(idx), job.walltime, job.num_nodes,
+                                  shadow_time, extra_nodes);
+          start_job(idx, t, select_scratch_);
+          pending_erase(r);
+          free_nodes = state_.total_free();
+          reserved = false;
+        }
       }
+      // The next word holding a pending job.
+      const std::size_t last = w * kWordBits + (kWordBits - 1);
+      if (last + 1 >= pending_set_.universe()) return;
+      const std::size_t next_rank = pending_set_.next(last);
+      if (next_rank == IndexSet::npos) return;
+      w = next_rank / kWordBits;
+      bits = pending_set_.word(w);
     }
   }
 
@@ -599,7 +662,9 @@ class Simulation {
       // Both Eq. 6 sums of the chosen placement from one kernel walk.
       // Adaptive priced its winner in the select that produced `nodes`, on
       // this very state, with the run's CostOptions and cache: its sums and
-      // profile are passed on instead of walked again.
+      // profile are passed on instead of walked again. The sa anneal passes
+      // on its profile only: it kept just the selected sum, so the kernel
+      // still walks.
       const bool reused = adaptive_allocator_ != nullptr &&
                           adaptive_allocator_->last_has_cost();
       CandidateCosts chosen;
@@ -607,7 +672,10 @@ class Simulation {
         chosen = adaptive_allocator_->last_costs();
         profile = adaptive_allocator_->last_profile();
       } else {
-        profile = &candidate_profile(*comm_cache_, tree_, nodes, job.pattern);
+        profile =
+            sa_allocator_ != nullptr && sa_allocator_->last_has_cost()
+                ? sa_allocator_->last_profile()
+                : &candidate_profile(*comm_cache_, tree_, nodes, job.pattern);
         chosen = model_.candidate_costs(state_, nodes, job.comm_intensive,
                                         *profile, workspace_);
       }
@@ -856,7 +924,8 @@ class Simulation {
   std::shared_ptr<CommCache> comm_cache_;
   std::unique_ptr<Allocator> allocator_;
   // Non-owning view of allocator_ when it is the SA policy (null otherwise):
-  // start_job reads the anneal's claimed cost for the auditor cross-check.
+  // start_job prices with the anneal's profile and hands its claimed cost
+  // to the auditor cross-check.
   const SaAllocator* sa_allocator_ = nullptr;
   // Non-owning view of allocator_ when it is the adaptive policy (null
   // otherwise): start_job reuses the winner's price from its select.
@@ -880,9 +949,15 @@ class Simulation {
   std::vector<std::size_t> running_;
 
   // Fast engine queue/running structures (see build_queue_ranks).
+  static constexpr std::size_t kWordBits = IndexSet::kWordBits;
+  static constexpr int kEmptyFloor = std::numeric_limits<int>::max();
   IndexSet pending_set_;                  // pending jobs, by queue rank
   std::vector<std::size_t> idx_of_rank_;  // queue rank -> log index
   std::vector<std::size_t> rank_of_;      // log index -> queue rank
+  std::vector<int> nodes_of_rank_;        // queue rank -> node count
+  // Per 64-rank word of pending_set_: the fewest nodes any of its pending
+  // jobs needs (kEmptyFloor when it has none).
+  std::vector<int> word_floor_;
   std::vector<RunEntry> running_sorted_;  // (est_end, nodes, idx) ascending
 
   // Fast-engine dynamic-interference index: per-leaf running jobs, plus

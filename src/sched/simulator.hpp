@@ -53,10 +53,11 @@ enum class QueuePolicy : std::uint8_t {
 /// production core: the pending queue is a hierarchical bitmap over
 /// precomputed queue ranks (O(log n) insert/erase/successor instead of a
 /// stable sort per event), the head reservation is a prefix scan over an
-/// incrementally sorted running set, and the steady state allocates
-/// nothing. kReference keeps the original per-event-sort loop as the
-/// differential baseline; both produce bit-identical SimResults (pinned by
-/// tests/sched/engine_diff_test).
+/// incrementally sorted running set, the backfill scan passes over 64-rank
+/// words of jobs too large for the free nodes, and the steady state
+/// allocates nothing. kReference keeps the original per-event-sort loop as
+/// the differential baseline; both produce bit-identical SimResults (pinned
+/// by tests/sched/engine_diff_test).
 enum class SimEngine : std::uint8_t {
   kFast,       ///< indexed million-job core (default)
   kReference,  ///< original loop, kept as the differential oracle

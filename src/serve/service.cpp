@@ -127,8 +127,12 @@ void AllocatorService::handle_alloc(const Request& request, Reply& out) {
                                    *adaptive_->last_profile(),
                                    {costs.hops, costs.hop_bytes}, request.job);
     } else {
-      const LeafCommProfile& profile = candidate_profile(
-          *cache_, *tree_, nodes_scratch_, request.pattern);
+      // The sa anneal hands on the profile it priced with, not both sums.
+      const LeafCommProfile& profile =
+          allocator == sa_ && sa_->last_has_cost()
+              ? *sa_->last_profile()
+              : candidate_profile(*cache_, *tree_, nodes_scratch_,
+                                  request.pattern);
       out.cost = model_.candidate_costs(state_, nodes_scratch_,
                                         /*comm_intensive=*/true, profile,
                                         workspace_).hops;
@@ -195,6 +199,8 @@ Allocator* AllocatorService::allocator_for(std::uint8_t code) {
     slot = make_allocator(kind, options_.cost_options, cache_, options_.sa);
     if (kind == AllocatorKind::kAdaptive)
       adaptive_ = static_cast<const AdaptiveAllocator*>(slot.get());
+    if (kind == AllocatorKind::kSa)
+      sa_ = static_cast<const SaAllocator*>(slot.get());
   }
   return slot.get();
 }

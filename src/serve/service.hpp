@@ -39,6 +39,7 @@
 #include "core/adaptive_allocator.hpp"
 #include "core/allocator_factory.hpp"
 #include "core/cost_model.hpp"
+#include "core/sa_allocator.hpp"
 #include "serve/protocol.hpp"
 #include "topology/tree.hpp"
 
@@ -105,6 +106,9 @@ class AllocatorService {
   /// allocators_'s adaptive policy once constructed (null before): its
   /// select prices the winner, and handle_alloc reports that price.
   const AdaptiveAllocator* adaptive_ = nullptr;
+  /// allocators_'s sa policy once constructed (null before): handle_alloc
+  /// prices its pick with the profile the anneal used.
+  const SaAllocator* sa_ = nullptr;
   std::vector<NodeId> nodes_scratch_;
 
   std::unordered_map<std::uint64_t, Reply> replay_;

@@ -7,10 +7,8 @@
 namespace commsched {
 
 namespace {
-constexpr std::size_t kWordBits = 64;
-
 std::size_t words_for(std::size_t bits) {
-  return (bits + kWordBits - 1) / kWordBits;
+  return (bits + IndexSet::kWordBits - 1) / IndexSet::kWordBits;
 }
 }  // namespace
 
@@ -102,6 +100,12 @@ std::size_t IndexSet::next(std::size_t r) const {
     pos = pos * kWordBits + static_cast<std::size_t>(std::countr_zero(w));
   }
   return pos < universe_ ? pos : npos;
+}
+
+// hot-path: no-alloc
+std::uint64_t IndexSet::word(std::size_t w) const {
+  COMMSCHED_ASSERT_LT_MSG(w, levels_[0].size(), "IndexSet word out of range");
+  return levels_[0][w];
 }
 
 }  // namespace commsched

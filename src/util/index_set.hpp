@@ -22,6 +22,8 @@ namespace commsched {
 class IndexSet {
  public:
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+  /// Elements per word() of membership bits.
+  static constexpr std::size_t kWordBits = 64;
 
   IndexSet() = default;
   explicit IndexSet(std::size_t universe) { reset(universe); }
@@ -48,6 +50,11 @@ class IndexSet {
   /// Smallest element strictly greater than `r`, or npos.
   // hot-path: no-alloc
   std::size_t next(std::size_t r) const;
+
+  /// The membership bits of elements [64 w, 64 w + 64): bit b is set iff
+  /// 64 w + b is in the set. w < ceil(universe / 64).
+  // hot-path: no-alloc
+  std::uint64_t word(std::size_t w) const;
 
  private:
   // levels_[0] holds the element bits; levels_[k][w] bit b summarizes

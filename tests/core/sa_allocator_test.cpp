@@ -95,7 +95,8 @@ TEST_F(SaAllocatorFixture, DeterministicAcrossCallsAndInstances) {
 TEST_F(SaAllocatorFixture, NeverWorseThanEitherSeedPolicy) {
   const GreedyAllocator greedy;
   const BalancedAllocator balanced;
-  const SaAllocator sa(CostOptions{.hop_bytes = true});
+  const auto cache = std::make_shared<CommCache>(double{1 << 20});
+  const SaAllocator sa(CostOptions{.hop_bytes = true}, SaOptions{}, cache);
   for (const int n : {4, 6, 8, 12}) {
     for (const Pattern p :
          {Pattern::kPairwiseAlltoall, Pattern::kRecursiveDoubling,
@@ -108,9 +109,13 @@ TEST_F(SaAllocatorFixture, NeverWorseThanEitherSeedPolicy) {
       const double sa_cost = price(sa_pick, r);
       EXPECT_LE(sa_cost, price(greedy_pick, r)) << "n=" << n;
       EXPECT_LE(sa_cost, price(balanced_pick, r)) << "n=" << n;
-      // The claimed cost is the full Eq. 6 price of the returned placement.
+      // The claimed cost is the full Eq. 6 price of the returned placement,
+      // and the profile it was priced with is that placement's.
       ASSERT_TRUE(sa.last_has_cost());
       EXPECT_EQ(sa_cost, sa.last_cost()) << "n=" << n;
+      EXPECT_EQ(sa.last_profile(),
+                &candidate_profile(*cache, tree_, sa_pick, p))
+          << "n=" << n;
     }
   }
 }
@@ -145,6 +150,7 @@ TEST_F(SaAllocatorFixture, ComputeJobsFollowTheAdaptiveRule) {
   ASSERT_TRUE(adaptive.select_into(state_, r, adaptive_pick));
   EXPECT_EQ(sa_pick, adaptive_pick);
   EXPECT_FALSE(sa.last_has_cost());
+  EXPECT_EQ(sa.last_profile(), nullptr);
 }
 
 // A policy that proposes nothing: the anneal must end immediately and fall

@@ -4,6 +4,8 @@
 // backfilling under sustained backlog.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "metrics/extended.hpp"
 #include "metrics/summary.hpp"
 #include "sched/simulator.hpp"
@@ -26,27 +28,63 @@ JobRecord job(WorkloadJobId id, double submit, int nodes, double runtime,
 }
 
 TEST(BackfillDepthTest, DepthLimitStopsScanningTheQueue) {
-  // Machine 8 nodes. Head blocked until t=100. Two backfill candidates:
-  // one deep in the queue. With depth 1 only the first candidate is
-  // examined.
+  // Machine 8 nodes. Job 1 holds 6 until t=100, so the 8-node head waits
+  // for it and 2 nodes stay free. Both later jobs would end before t=100;
+  // job 3 needs 4 nodes and cannot start, job 4 needs 2 and can, but it is
+  // the second backfill candidate. Depth 1 stops at job 3.
   const Tree tree = make_figure2_tree();
-  JobLog log{job(1, 0.0, 8, 100.0),   // running, full machine
-             job(2, 1.0, 8, 100.0),   // blocked head
-             job(3, 2.0, 9, 50.0),    // never fits better than head: filler
-             job(4, 3.0, 2, 50.0)};   // backfillable, but at depth 3
-  // job 3 cannot exist (9 > machine); replace with a large-but-valid one.
-  log[2] = job(3, 2.0, 8, 50.0);
+  const JobLog log{job(1, 0.0, 6, 100.0),   // running until t=100
+                   job(2, 1.0, 8, 100.0),   // blocked head
+                   job(3, 2.0, 4, 50.0),    // candidate 1: too large
+                   job(4, 3.0, 2, 50.0)};   // candidate 2: fits
+  for (const SimEngine engine : {SimEngine::kFast, SimEngine::kReference}) {
+    SCOPED_TRACE(engine == SimEngine::kFast ? "fast" : "reference");
+    SchedOptions shallow;
+    shallow.engine = engine;
+    shallow.backfill_depth = 1;
+    const SimResult a = run_continuous(tree, log, shallow);
+    SchedOptions deep = shallow;
+    deep.backfill_depth = 2;
+    const SimResult b = run_continuous(tree, log, deep);
+    // Depth 2 backfills job 4 at its submission; depth 1 leaves it behind
+    // the head, which runs 100-200, and job 3.
+    EXPECT_EQ(b.jobs[3].start_time, 3.0);
+    EXPECT_EQ(a.jobs[3].start_time, 200.0);
+    for (const SimResult* r : {&a, &b}) {
+      EXPECT_EQ(r->jobs[1].start_time, 100.0);
+      EXPECT_EQ(r->jobs[2].start_time, 200.0);
+    }
+  }
+}
 
-  SchedOptions shallow;
-  shallow.backfill_depth = 1;
-  const SimResult a = run_continuous(tree, log, shallow);
-  SchedOptions deep;
-  deep.backfill_depth = 10;
-  const SimResult b = run_continuous(tree, log, deep);
-  // With depth 10 the 2-node job backfills at t=3... but the machine is
-  // full until t=100, so "backfill" here means starting as soon as job 1
-  // ends without waiting behind jobs 2-3.
-  EXPECT_LE(b.jobs[3].start_time, a.jobs[3].start_time);
+TEST(BackfillDepthTest, TooLargeJobsCountTowardTheDepth) {
+  // Machine 8 nodes, 2 free until t=1000. Behind the 8-node head queue 70
+  // jobs of 4 nodes, more than one 64-rank word of them, then a 2-node job
+  // that would end long before the head's reservation: backfill candidate
+  // 71. It starts at its submission iff the depth reaches 71, under both
+  // engines. Otherwise it waits until the 4-node jobs, two at a time from
+  // t=1100 in 100 s rounds, have all run.
+  const Tree tree = make_figure2_tree();
+  constexpr int kTooLarge = 70;
+  JobLog log{job(1, 0.0, 6, 1000.0), job(2, 1.0, 8, 100.0)};
+  for (int i = 0; i < kTooLarge; ++i) log.push_back(job(3 + i, 2.0, 4, 100.0));
+  log.push_back(job(3 + kTooLarge, 3.0, 2, 10.0));
+  const JobRecord& fits = log.back();
+  for (const SimEngine engine : {SimEngine::kFast, SimEngine::kReference}) {
+    for (const int depth : {1, 63, 64, 65, kTooLarge, kTooLarge + 1,
+                            kTooLarge + 2, 1000000}) {
+      SCOPED_TRACE(std::string(engine == SimEngine::kFast ? "fast"
+                                                           : "reference") +
+                   " depth " + std::to_string(depth));
+      SchedOptions options;
+      options.engine = engine;
+      options.backfill_depth = depth;
+      const SimResult r = run_continuous(tree, log, options);
+      EXPECT_EQ(r.jobs.back().start_time,
+                depth > kTooLarge ? fits.submit_time
+                                  : 1100.0 + 100.0 * (kTooLarge / 2));
+    }
+  }
 }
 
 TEST(BackfillDepthTest, SimultaneousSubmissionsKeepIdOrder) {

@@ -160,6 +160,42 @@ TEST(EngineDiffTest, ExclusiveAndIoAwareAllocators) {
   }
 }
 
+// The fast engine's backfill skips a 64-rank word of the queue whose
+// smallest pending job needs more nodes than are free, and counts its jobs
+// against backfill_depth all the same. Long backlogged logs keep hundreds of
+// jobs queued, so the window crosses many words and can end inside one;
+// neither log length is a multiple of 64, so the last word is partial.
+// Depths straddle one word (63, 64, 65) and reach past the queue (10^6).
+// Colocation may defer a job that fits and exclusive may refuse one, so a
+// job that fits the free count does not always start.
+TEST(EngineDiffTest, BackfillWindowAcrossRankWords) {
+  const Tree tree = make_two_level_tree(8, 16);
+  for (const int n_jobs : {2010, 2085}) {
+    const JobLog log =
+        fuzz_log(tree, n_jobs, static_cast<std::uint64_t>(n_jobs));
+    ASSERT_NE(log.size() % 64, 0u);
+    for (const AllocatorKind kind :
+         {AllocatorKind::kDefault, AllocatorKind::kExclusive}) {
+      for (const QueuePolicy policy :
+           {QueuePolicy::kFifo, QueuePolicy::kShortestJobFirst,
+            QueuePolicy::kSmallestJobFirst, QueuePolicy::kColocation}) {
+        for (const int depth : {1, 63, 64, 65, 200, 1000000}) {
+          SchedOptions options;
+          options.allocator = kind;
+          options.queue_policy = policy;
+          options.backfill_depth = depth;
+          run_both_and_compare(
+              tree, log, options,
+              std::to_string(n_jobs) + " jobs allocator " +
+                  allocator_kind_name(kind) + " policy " +
+                  std::to_string(static_cast<int>(policy)) + " depth " +
+                  std::to_string(depth));
+        }
+      }
+    }
+  }
+}
+
 // The search-based allocator (DESIGN.md "Delta-cost evaluation & search
 // allocators") under both engines: the anneal runs per select_into and must
 // be a pure function of (options, state, request), so the fast engine's

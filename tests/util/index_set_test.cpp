@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <set>
 #include <vector>
 
@@ -77,6 +78,20 @@ TEST(IndexSetTest, WordBoundaryNext) {
   EXPECT_EQ(s.next(64 * 64), IndexSet::npos);
 }
 
+TEST(IndexSetTest, WordExposesMembershipBits) {
+  // Two full words and a partial third.
+  IndexSet s(130);
+  for (const std::size_t r : {0u, 5u, 63u, 64u, 129u}) s.insert(r);
+  EXPECT_EQ(s.word(0), (std::uint64_t{1} << 0) | (std::uint64_t{1} << 5) |
+                           (std::uint64_t{1} << 63));
+  EXPECT_EQ(s.word(1), std::uint64_t{1});
+  EXPECT_EQ(s.word(2), std::uint64_t{1} << 1);
+  s.erase(63);
+  s.erase(64);
+  EXPECT_EQ(s.word(0), (std::uint64_t{1} << 0) | (std::uint64_t{1} << 5));
+  EXPECT_EQ(s.word(1), std::uint64_t{0});
+}
+
 // Differential fuzz: random insert/erase churn mirrored into a std::set,
 // checking size, membership, first() and full in-order traversal after
 // every batch. Several universe sizes straddle the 64^k summary-tree
@@ -106,6 +121,11 @@ TEST(IndexSetTest, FuzzAgainstStdSet) {
              x = fast.next(x))
           seen.push_back(x);
         ASSERT_EQ(seen, std::vector<std::size_t>(ref.begin(), ref.end()));
+        std::vector<std::uint64_t> words((universe + 63) / 64, 0);
+        for (const std::size_t x : ref)
+          words[x / 64] |= std::uint64_t{1} << (x % 64);
+        for (std::size_t w = 0; w < words.size(); ++w)
+          ASSERT_EQ(fast.word(w), words[w]) << "word " << w;
         // next() from an absent rank lands on the successor.
         const auto probe = static_cast<std::size_t>(
             rng.uniform_int(0, static_cast<int>(universe) - 1));
