@@ -4,7 +4,9 @@
 //
 // Each cell replays an undecorated synthetic log (comm_percent = 0, so no
 // pricing — this measures the scheduler core, not the cost model) through
-// SimEngine::kFast; the same log also runs through SimEngine::kReference
+// SimEngine::kFast three times and records the median run, so one run
+// caught in a burst or a stall of a shared host does not set the cell; the
+// same log also runs once through SimEngine::kReference
 //   - at every size up to 10^4 for a full bit-identity check of the two
 //     engines across all cells, and
 //   - at the largest size <= 10^5 for the fast/reference speedup figure
@@ -22,6 +24,8 @@
 //
 // Exits nonzero on any engine divergence or floor violation. Writes
 // BENCH_sched_scale.json at the cwd (run from the repo root).
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -155,12 +159,17 @@ int run() {
       cell.backfill = config.backfill;
 
       options.engine = SimEngine::kFast;
-      const auto t0 = std::chrono::steady_clock::now();
-      const SimResult fast = run_continuous(tree, log, options);
-      cell.fast_seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        t0)
-              .count();
+      SimResult fast;
+      std::array<double, 3> fast_runs{};
+      for (double& seconds : fast_runs) {
+        const auto t0 = std::chrono::steady_clock::now();
+        fast = run_continuous(tree, log, options);
+        seconds = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
+      }
+      std::sort(fast_runs.begin(), fast_runs.end());
+      cell.fast_seconds = fast_runs[1];
       cell.fast_jobs_per_sec = n / cell.fast_seconds;
       if (min_jps < 0.0 || cell.fast_jobs_per_sec < min_jps)
         min_jps = cell.fast_jobs_per_sec;
@@ -211,7 +220,8 @@ int run() {
        << "  \"commit\": \"" << source_commit() << "\",\n"
        << "  \"workload\": \"Theta profile scaled to 512 nodes, load 0.95, "
           "undecorated (no pricing)\",\n"
-       << "  \"metric\": \"jobs per second through run_continuous\",\n"
+       << "  \"metric\": \"jobs per second through run_continuous, median "
+          "of 3 kFast runs per cell\",\n"
        << "  \"before\": \"SimEngine::kReference (per-event queue sort)\",\n"
        << "  \"after\": \"SimEngine::kFast (indexed pending queue + "
           "incremental reservation)\",\n"

@@ -453,23 +453,17 @@ void StateAuditor::check_reused_cost(const CostModel& model,
                                      std::span<const NodeId> nodes,
                                      bool comm_intensive,
                                      const LeafCommProfile& profile,
-                                     const ClaimedCosts& claimed, JobId job) {
+                                     const CandidateCosts& claimed, JobId job) {
   if (!enabled()) return;
   ++checks_;
   const CandidateCosts fresh =
       model.candidate_costs(state, nodes, comm_intensive, profile, cost_ws_);
-  const auto diverges = [](const std::optional<double>& claim, double value) {
-    return claim.has_value() && *claim != value;
-  };
-  if (!diverges(claimed.hops, fresh.hops) &&
-      !diverges(claimed.hop_bytes, fresh.hop_bytes))
-    return;
+  if (claimed == fresh) return;
   std::ostringstream os;
-  const auto report = [&os](const char* name,
-                            const std::optional<double>& claim, double value) {
-    if (!claim) return;
-    os << ' ' << name << ": claimed " << std::hexfloat << *claim
-       << ", recomputed " << value << std::defaultfloat << " (" << *claim
+  const auto report = [&os](const char* name, double claim, double value) {
+    if (claim == value) return;
+    os << ' ' << name << ": claimed " << std::hexfloat << claim
+       << ", recomputed " << value << std::defaultfloat << " (" << claim
        << " vs " << value << ");";
   };
   os << "reused Eq. 6 price diverges from a fresh recompute of the placement "

@@ -29,7 +29,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -119,28 +118,19 @@ class StateAuditor {
   void check_profile(Pattern pattern, const LeafCommProfile& profile,
                      std::span<const NodeId> nodes, JobId job);
 
-  /// An Eq. 6 price handed on instead of computed where it is used: the sums
-  /// a select() priced for the placement it returned. A sum the claimant
-  /// did not compute stays unset (the sa delta session sums only the one its
-  /// CostOptions select).
-  struct ClaimedCosts {
-    std::optional<double> hops;
-    std::optional<double> hop_bytes;
-  };
-
-  /// Cheap level and up: re-price the chosen placement and check a price
-  /// that was passed on to the start path — adaptive's winner sums, which
-  /// the simulator and the allocator service reuse, or the sa anneal's
-  /// delta total, which may never drift from the full kernel. A fresh
+  /// Cheap level and up: re-price the chosen placement and check the price
+  /// a select() handed on to the start path (Allocator::last_priced(),
+  /// which the simulator and the allocator service reuse). A fresh
   /// CostModel::candidate_costs of `nodes` through `model` must reproduce
-  /// every sum `claimed` carries bit for bit; the report gives both sides as
-  /// hexfloats. Call *before* the allocation is committed: the claim prices
-  /// the pre-allocation state, so a claim made on another state (a select on
-  /// one state followed by a start on another) fails here.
+  /// both claimed sums bit for bit; the report gives both sides of each
+  /// diverging sum as hexfloats. Call *before* the allocation is committed:
+  /// the claim prices the pre-allocation state, so a claim made on another
+  /// state (a select on one state followed by a start on another) fails
+  /// here.
   void check_reused_cost(const CostModel& model, const ClusterState& state,
                          std::span<const NodeId> nodes, bool comm_intensive,
                          const LeafCommProfile& profile,
-                         const ClaimedCosts& claimed, JobId job);
+                         const CandidateCosts& claimed, JobId job);
 
   /// Full level: audit one netsim flow after a max-min rate computation —
   /// bytes remaining, rate, and startup latency must be finite and must not

@@ -37,4 +37,14 @@ AuditLevel audit_level_from_env() {
   return *level;
 }
 
+SaOptions sa_options_for(SaOptions sa, AuditLevel level) noexcept {
+  if (sa.verify_stride != 0) return sa;
+  switch (level) {
+    case AuditLevel::kOff: break;
+    case AuditLevel::kCheap: sa.verify_stride = 64; break;
+    case AuditLevel::kFull: sa.verify_stride = 1; break;
+  }
+  return sa;
+}
+
 }  // namespace commsched

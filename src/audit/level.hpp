@@ -15,6 +15,8 @@
 #include <optional>
 #include <string_view>
 
+#include "core/sa_allocator.hpp"
+
 namespace commsched {
 
 enum class AuditLevel : std::uint8_t {
@@ -32,5 +34,12 @@ std::optional<AuditLevel> audit_level_from_string(std::string_view s) noexcept;
 /// Read COMMSCHED_AUDIT. Unset or empty means kOff; an unrecognized value
 /// throws InvariantError (a silently ignored typo would fake coverage).
 AuditLevel audit_level_from_env();
+
+/// The sa options a run at `level` builds its policy with: sa's in-anneal
+/// delta-vs-full check rides on the audit level, so an unset
+/// SaOptions::verify_stride becomes 64 at cheap (every 64th accepted move
+/// is re-priced in full) and 1 at full (every one). Off and an explicit
+/// stride leave `sa` as it is. The simulator and allocd both go through it.
+SaOptions sa_options_for(SaOptions sa, AuditLevel level) noexcept;
 
 }  // namespace commsched

@@ -19,9 +19,7 @@ bool AdaptiveAllocator::select_into(const ClusterState& state,
   const bool have_greedy = greedy_.select_into(state, request, greedy_pick_);
   const bool have_balanced =
       balanced_.select_into(state, request, balanced_pick_);
-  last_has_cost_ = false;
-  last_costs_ = {};
-  last_profile_ = nullptr;
+  last_priced_ = {};
   if (!have_greedy && !have_balanced) {
     out.clear();
     return false;
@@ -33,36 +31,27 @@ bool AdaptiveAllocator::select_into(const ClusterState& state,
   }
 
   const CostModel model(state.tree(), cost_options_);
-  const auto profile_of = [&](const std::vector<NodeId>& pick) {
-    return &candidate_profile(*cache_, state.tree(), pick, request.pattern);
-  };
-  const auto costs_of = [&](const std::vector<NodeId>& pick,
-                            const LeafCommProfile& profile) {
-    return model.candidate_costs(state, pick, request.comm_intensive,
-                                 profile, workspace_);
+  const auto price = [&](const std::vector<NodeId>& pick) {
+    return price_candidate(model, *cache_, state, pick,
+                           request.comm_intensive, request.pattern,
+                           workspace_);
   };
   // Lower cost wins for communication-intensive jobs; higher for compute
   // jobs (they are insensitive, and the cheap placement stays available).
   // Ties go to balanced, whose power-of-two structure also helps later jobs;
   // identical node lists price identically, so there one walk decides.
-  last_profile_ = profile_of(balanced_pick_);
-  last_costs_ = costs_of(balanced_pick_, *last_profile_);
+  last_priced_ = price(balanced_pick_);
   bool choose_balanced = true;
   if (greedy_pick_ != balanced_pick_) {
-    const LeafCommProfile* greedy_profile = profile_of(greedy_pick_);
-    const CandidateCosts greedy = costs_of(greedy_pick_, *greedy_profile);
-    const double greedy_cost = model.selected(greedy);
-    const double balanced_cost = model.selected(last_costs_);
+    const PricedPlacement greedy = price(greedy_pick_);
+    const double greedy_cost = model.selected(greedy.costs);
+    const double balanced_cost = model.selected(last_priced_.costs);
     choose_balanced = request.comm_intensive ? balanced_cost <= greedy_cost
                                              : balanced_cost >= greedy_cost;
-    if (!choose_balanced) {
-      last_costs_ = greedy;
-      last_profile_ = greedy_profile;
-    }
+    if (!choose_balanced) last_priced_ = greedy;
   }
 
   last_chose_balanced_ = choose_balanced;
-  last_has_cost_ = true;
   out = choose_balanced ? balanced_pick_ : greedy_pick_;
   return true;
 }

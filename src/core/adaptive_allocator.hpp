@@ -7,14 +7,13 @@
 // which keeps the better placement free for communicating workloads).
 //
 // Candidate pricing goes through the shared CommCache's canonical-shape
-// profiles (allocator_common's candidate_profile); the simulator hands
+// profiles (allocator_common's price_candidate); the simulator hands
 // every policy and pricing model of one run the same cache instance.
 // Identical greedy and balanced node lists are priced once, and the
-// winner's two Eq. 6 sums stay readable for the caller that commits it.
+// winner's price is handed on through last_priced().
 #pragma once
 
 #include <memory>
-#include <optional>
 
 #include "collectives/comm_cache.hpp"
 #include "core/allocator.hpp"
@@ -39,24 +38,13 @@ class AdaptiveAllocator final : public Allocator {
                    const AllocationRequest& request,
                    std::vector<NodeId>& out) const override;
 
-  /// Cost of the candidate chosen by the last select() call (the sum its
-  /// CostOptions select), whether it priced one (only when both greedy and
-  /// balanced produced a candidate), and whether balanced won (meaningful
-  /// only directly after a successful select()).
-  // hot-path: no-alloc
-  double last_cost() const noexcept {
-    return last_costs_.select(cost_options_.hop_bytes);
+  /// The winner's two Eq. 6 sums and profile, whenever both greedy and
+  /// balanced produced a candidate (one alone is not priced).
+  const PricedPlacement* last_priced() const noexcept override {
+    return last_priced_.profile != nullptr ? &last_priced_ : nullptr;
   }
-  bool last_has_cost() const noexcept { return last_has_cost_; }
+  /// Whether balanced won the last successful select().
   bool last_chose_balanced() const noexcept { return last_chose_balanced_; }
-  /// Both Eq. 6 sums of the chosen candidate, priced on the state and
-  /// request of the last select() with this allocator's CostOptions, and
-  /// the cached profile they were priced with (null unless
-  /// last_has_cost()).
-  const CandidateCosts& last_costs() const noexcept { return last_costs_; }
-  const LeafCommProfile* last_profile() const noexcept {
-    return last_profile_;
-  }
 
  private:
   GreedyAllocator greedy_;
@@ -68,12 +56,8 @@ class AdaptiveAllocator final : public Allocator {
   mutable CostWorkspace workspace_;
   // workspace: post-hoc record of the last select(), written once per
   // call and only read back through the accessors above.
-  mutable CandidateCosts last_costs_;
-  // workspace: see last_costs_; points into cache_, whose entries stay put.
-  mutable const LeafCommProfile* last_profile_ = nullptr;
-  // workspace: see last_costs_.
-  mutable bool last_has_cost_ = false;
-  // workspace: see last_costs_.
+  mutable PricedPlacement last_priced_;
+  // workspace: see last_priced_.
   mutable bool last_chose_balanced_ = false;
   // workspace: candidate buffers reused across const select_into() calls;
   // overwritten by the nested policies on entry, never observable.

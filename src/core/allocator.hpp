@@ -12,7 +12,9 @@
 #include <vector>
 
 #include "cluster/state.hpp"
+#include "collectives/comm_cache.hpp"
 #include "collectives/schedule.hpp"
+#include "core/cost_model.hpp"
 #include "topology/tree.hpp"
 
 namespace commsched {
@@ -37,6 +39,22 @@ struct AllocationRequest {
   double io_fraction = 0.0;
 };
 
+/// Whether Eq. 6 prices a job: a communication-intensive job on two or more
+/// nodes (one node puts nothing on the network). The simulator's and
+/// allocd's start pricing, run_individual's probes and the I/O-aware score
+/// all follow this one rule.
+constexpr bool priced_by_eq6(bool comm_intensive, int num_nodes) noexcept {
+  return comm_intensive && num_nodes >= 2;
+}
+
+/// A placement's Eq. 6 price: both sums of one CostModel::candidate_costs
+/// walk and the cached profile it walked (an entry of the CommCache, which
+/// stays put).
+struct PricedPlacement {
+  CandidateCosts costs;
+  const LeafCommProfile* profile = nullptr;
+};
+
 /// Abstract node-selection policy.
 class Allocator {
  public:
@@ -55,6 +73,16 @@ class Allocator {
   virtual bool select_into(const ClusterState& state,
                            const AllocationRequest& request,
                            std::vector<NodeId>& out) const = 0;
+
+  /// The price of the placement the last successful select_into() returned,
+  /// when the policy priced it on the way; null when it did not (the
+  /// default). The sums are candidate_costs on that call's state and
+  /// request, under the policy's CostOptions and through its CommCache.
+  /// Callers price a pick through price_selected() (core/allocator_common),
+  /// which returns this price when it is set.
+  virtual const PricedPlacement* last_priced() const noexcept {
+    return nullptr;
+  }
 
   /// Convenience wrapper over select_into() returning a fresh vector.
   std::optional<std::vector<NodeId>> select(

@@ -73,11 +73,16 @@ double communication_ratio(const ClusterState& state, SwitchId leaf) {
 }
 
 // hot-path: no-alloc
-const LeafCommProfile& candidate_profile(CommCache& cache, const Tree& tree,
-                                         std::span<const NodeId> nodes,
-                                         Pattern pattern) {
-  return cache.profile(pattern, /*ranks_per_node=*/1,
-                       make_shape_key(tree, nodes));
+PricedPlacement price_candidate(const CostModel& model, CommCache& cache,
+                                const ClusterState& state,
+                                std::span<const NodeId> nodes,
+                                bool comm_intensive, Pattern pattern,
+                                CostWorkspace& workspace) {
+  const LeafCommProfile& profile = cache.profile(
+      pattern, /*ranks_per_node=*/1, make_shape_key(state.tree(), nodes));
+  return {model.candidate_costs(state, nodes, comm_intensive, profile,
+                                workspace),
+          &profile};
 }
 
 // hot-path: no-alloc
@@ -86,9 +91,21 @@ double profiled_candidate_cost(const CostModel& model, CommCache& cache,
                                std::span<const NodeId> nodes,
                                bool comm_intensive, Pattern pattern,
                                CostWorkspace& workspace) {
-  return model.candidate_cost(
-      state, nodes, comm_intensive,
-      candidate_profile(cache, state.tree(), nodes, pattern), workspace);
+  return model.selected(price_candidate(model, cache, state, nodes,
+                                        comm_intensive, pattern, workspace)
+                            .costs);
+}
+
+// hot-path: no-alloc
+PricedPlacement price_selected(const Allocator& allocator,
+                               const CostModel& model, CommCache& cache,
+                               const ClusterState& state,
+                               std::span<const NodeId> nodes,
+                               const AllocationRequest& request,
+                               CostWorkspace& workspace) {
+  if (const PricedPlacement* priced = allocator.last_priced()) return *priced;
+  return price_candidate(model, cache, state, nodes, request.comm_intensive,
+                         request.pattern, workspace);
 }
 
 // hot-path: no-alloc

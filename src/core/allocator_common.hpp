@@ -6,6 +6,7 @@
 
 #include "cluster/state.hpp"
 #include "collectives/comm_cache.hpp"
+#include "core/allocator.hpp"
 #include "core/cost_model.hpp"
 #include "topology/tree.hpp"
 
@@ -48,20 +49,33 @@ double free_count(const ClusterState& state, SwitchId leaf);
 /// is taken as 0 (the paper leaves the 0/0 case implicit).
 double communication_ratio(const ClusterState& state, SwitchId leaf);
 
-/// The leaf-comm profile a candidate allocation prices with: derive the
-/// allocation's canonical ShapeKey and look up (or build) its profile for
-/// `pattern` at one rank per node in the shared cache.
-const LeafCommProfile& candidate_profile(CommCache& cache, const Tree& tree,
-                                         std::span<const NodeId> nodes,
-                                         Pattern pattern);
+/// Price a candidate allocation through the shared profile cache: one
+/// lookup (or build) of the profile of the allocation's canonical ShapeKey
+/// for `pattern` at one rank per node, and one model.candidate_costs walk.
+PricedPlacement price_candidate(const CostModel& model, CommCache& cache,
+                                const ClusterState& state,
+                                std::span<const NodeId> nodes,
+                                bool comm_intensive, Pattern pattern,
+                                CostWorkspace& workspace);
 
-/// Price a candidate allocation through the shared profile cache: Eq. 6
-/// through model.candidate_cost over candidate_profile. The common pricing
-/// path of the I/O-aware and sa policies and of run_individual.
+/// The sum of price_candidate that model's CostOptions select: the I/O-aware
+/// policy's Eq. 6 term.
 double profiled_candidate_cost(const CostModel& model, CommCache& cache,
                                const ClusterState& state,
                                std::span<const NodeId> nodes,
                                bool comm_intensive, Pattern pattern,
+                               CostWorkspace& workspace);
+
+/// The price of `nodes`, the placement `allocator` just returned for
+/// `request` on `state`: allocator.last_priced() when the policy priced it,
+/// else price_candidate. `model` must carry the policy's CostOptions and
+/// `cache` be the cache it prices through; then either way the result is
+/// the one walk's, bit for bit. The one way a start path prices a pick.
+PricedPlacement price_selected(const Allocator& allocator,
+                               const CostModel& model, CommCache& cache,
+                               const ClusterState& state,
+                               std::span<const NodeId> nodes,
+                               const AllocationRequest& request,
                                CostWorkspace& workspace);
 
 }  // namespace commsched

@@ -113,7 +113,7 @@ bool IoAwareAllocator::select_into(const ClusterState& state,
   const IoModel io_model(state.tree());
 
   const double comm_base =
-      (request.comm_intensive && request.num_nodes >= 2)
+      priced_by_eq6(request.comm_intensive, request.num_nodes)
           ? profiled_candidate_cost(comm_model, *cache_, state, default_pick_,
                                     request.comm_intensive, request.pattern,
                                     workspace_)
@@ -123,7 +123,7 @@ bool IoAwareAllocator::select_into(const ClusterState& state,
 
   const auto score = [&](const std::vector<NodeId>& nodes) {
     double s = 0.0;
-    if (request.comm_intensive && request.num_nodes >= 2 &&
+    if (priced_by_eq6(request.comm_intensive, request.num_nodes) &&
         request.comm_fraction > 0.0)
       s += request.comm_fraction *
            cost_ratio(profiled_candidate_cost(comm_model, *cache_, state,

@@ -60,9 +60,7 @@ void SaAllocator::set_proposal_policy(std::unique_ptr<ProposalPolicy> policy) {
 bool SaAllocator::select_into(const ClusterState& state,
                               const AllocationRequest& request,
                               std::vector<NodeId>& out) const {
-  last_has_cost_ = false;
-  last_cost_ = 0.0;
-  last_profile_ = nullptr;
+  last_priced_ = {};
   last_proposals_ = 0;
   last_accepts_ = 0;
   // Compute-intensive: adaptive's rule (§4.3) as is. No anneal: the job is
@@ -74,27 +72,17 @@ bool SaAllocator::select_into(const ClusterState& state,
     return false;
   }
 
-  // Communication-intensive: anneal from adaptive's pick, at the cost and
-  // with the profile adaptive priced it. Adaptive prices nothing when only
-  // one candidate existed; then one profile lookup serves both the seed
-  // price and the anneal.
+  // Communication-intensive: anneal from adaptive's pick, at the price and
+  // with the profile adaptive handed on. Adaptive prices nothing when only
+  // one candidate existed; then one lookup and one walk price the seed.
   const CostModel model(state.tree(), cost_options_);
-  const LeafCommProfile* profile = adaptive_.last_profile();
-  if (adaptive_.last_has_cost()) {
-    last_cost_ = adaptive_.last_cost();
-  } else {
-    profile =
-        &candidate_profile(*cache_, state.tree(), seed_, request.pattern);
-    last_cost_ = model.candidate_cost(state, seed_, /*comm_intensive=*/true,
-                                      *profile, workspace_);
-  }
-  last_has_cost_ = true;
-  last_profile_ = profile;
-  if (options_.budget <= 0 || profile->steps.empty()) {
+  last_priced_ = price_selected(adaptive_, model, *cache_, state, seed_,
+                                request, workspace_);
+  if (options_.budget <= 0 || last_priced_.profile->steps.empty()) {
     out = seed_;
     return true;
   }
-  anneal(state, request, model, *profile, seed_, last_cost_, out);
+  anneal(state, request, model, out);
   return true;
 }
 
@@ -102,14 +90,13 @@ bool SaAllocator::select_into(const ClusterState& state,
 void SaAllocator::anneal(const ClusterState& state,
                          const AllocationRequest& request,
                          const CostModel& model,
-                         const LeafCommProfile& profile,
-                         const std::vector<NodeId>& seed, double seed_cost,
                          std::vector<NodeId>& out) const {
   const Tree& tree = state.tree();
+  const LeafCommProfile& profile = *last_priced_.profile;
   const double begin_cost =
-      model.delta_begin(state, seed, /*comm_intensive=*/true, profile,
+      model.delta_begin(state, seed_, /*comm_intensive=*/true, profile,
                         workspace_);
-  COMMSCHED_ASSERT_EQ_MSG(begin_cost, seed_cost,
+  COMMSCHED_ASSERT_EQ_MSG(begin_cost, model.selected(last_priced_.costs),
                           "delta_begin diverged from the seed's full cost");
 
   // Mirror the session's slot assignment (first-appearance slot order). The
@@ -206,7 +193,7 @@ void SaAllocator::anneal(const ClusterState& state,
             last_accepts_ % options_.verify_stride == 0) {
           // Sampled oracle: the delta-maintained total must equal a full
           // recompute of the materialized placement, bit for bit.
-          materialize(state, seed, cur_leaf_, verify_nodes_);
+          materialize(state, seed_, cur_leaf_, verify_nodes_);
           const double full = model.candidate_cost(
               state, verify_nodes_, /*comm_intensive=*/true, profile,
               workspace_);
@@ -227,9 +214,18 @@ void SaAllocator::anneal(const ClusterState& state,
     temp *= options_.cooling;
   }
 
-  // Return the best placement *seen* — never costlier than the seed.
-  materialize(state, seed, best_leaf_, out);
-  last_cost_ = best;
+  // Return the best placement *seen* — never costlier than the seed. Unless
+  // it is strictly cheaper it is the seed, and the seed's price stands;
+  // otherwise one walk prices it, which must reproduce the delta-maintained
+  // best bit for bit.
+  materialize(state, seed_, best_leaf_, out);
+  if (best < begin_cost) {
+    last_priced_.costs = model.candidate_costs(
+        state, out, /*comm_intensive=*/true, profile, workspace_);
+    COMMSCHED_ASSERT_EQ_MSG(model.selected(last_priced_.costs), best,
+                            "delta-maintained SA best diverged from a full "
+                            "walk of the returned placement");
+  }
 }
 
 // hot-path: no-alloc

@@ -70,8 +70,9 @@ struct SaOptions {
   SaProposalKind proposal = SaProposalKind::kLocality;
   /// > 0: every Nth accepted move, re-derive the delta-maintained total with
   /// a full candidate_cost and fail loudly on any bitwise divergence. The
-  /// simulator raises this with the audit level (cheap -> sampled, full ->
-  /// every accept); 0 trusts the delta kernel.
+  /// simulator and allocd raise an unset stride with the audit level
+  /// (sa_options_for: cheap -> sampled, full -> every accept); 0 trusts the
+  /// delta kernel.
   int verify_stride = 0;
 };
 
@@ -94,16 +95,14 @@ class SaAllocator final : public Allocator {
   void set_proposal_policy(std::unique_ptr<ProposalPolicy> policy);
   const ProposalPolicy& proposal_policy() const noexcept { return *policy_; }
 
-  /// Eq. 6 cost of the placement returned by the last select(), when it
-  /// priced one (communication-intensive requests). The simulator's auditor
-  /// cross-checks this against a full recompute of the committed placement.
-  double last_cost() const noexcept { return last_cost_; }
-  bool last_has_cost() const noexcept { return last_has_cost_; }
-  /// The cached profile last_cost() was priced with (null unless
-  /// last_has_cost()): the seed's, which every slot move keeps (see
-  /// materialize), so it is the returned placement's profile too.
-  const LeafCommProfile* last_profile() const noexcept {
-    return last_profile_;
+  /// Both Eq. 6 sums of the placement the last select() returned, for every
+  /// communication-intensive request, and the anneal's profile: the seed's,
+  /// which every slot move keeps (see materialize), so the returned
+  /// placement's too. An anneal that found nothing cheaper returns the seed
+  /// at the seed's price; a cheaper best is walked once, and the walk must
+  /// reproduce the delta-maintained total.
+  const PricedPlacement* last_priced() const noexcept override {
+    return last_priced_.profile != nullptr ? &last_priced_ : nullptr;
   }
   /// Anneal diagnostics of the last select() (bench reporting).
   int last_proposals() const noexcept { return last_proposals_; }
@@ -111,9 +110,7 @@ class SaAllocator final : public Allocator {
 
  private:
   void anneal(const ClusterState& state, const AllocationRequest& request,
-              const CostModel& model, const LeafCommProfile& profile,
-              const std::vector<NodeId>& seed, double seed_cost,
-              std::vector<NodeId>& out) const;
+              const CostModel& model, std::vector<NodeId>& out) const;
   bool move_feasible(const ClusterState& state,
                      const MoveProposal& prop) const;
   void materialize(const ClusterState& state, const std::vector<NodeId>& seed,
@@ -155,16 +152,12 @@ class SaAllocator final : public Allocator {
   mutable std::vector<std::int32_t> slot_cursor_;
   // workspace: verify_stride full-recompute node scratch.
   mutable std::vector<NodeId> verify_nodes_;
-  // workspace: post-hoc diagnostics of the last select(), written once per
-  // call and only read back through the accessors above.
-  mutable double last_cost_ = 0.0;
-  // workspace: see last_cost_.
-  mutable bool last_has_cost_ = false;
-  // workspace: see last_cost_; points into cache_, whose entries stay put.
-  mutable const LeafCommProfile* last_profile_ = nullptr;
-  // workspace: see last_cost_.
+  // workspace: post-hoc record of the last select(), written once per call
+  // and only read back through the accessors above.
+  mutable PricedPlacement last_priced_;
+  // workspace: see last_priced_.
   mutable int last_proposals_ = 0;
-  // workspace: see last_cost_.
+  // workspace: see last_priced_.
   mutable int last_accepts_ = 0;
 };
 

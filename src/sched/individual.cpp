@@ -100,10 +100,11 @@ std::vector<IndividualOutcome> run_individual(const Tree& tree,
       const auto nodes = allocators[i]->select(state, request);
       COMMSCHED_ASSERT_MSG(nodes.has_value(),
                            "policy failed although the probe fits");
-      out.cost[i] = (job.comm_intensive && job.num_nodes >= 2)
-                        ? profiled_candidate_cost(model, *cache, state,
-                                                  *nodes, job.comm_intensive,
-                                                  job.pattern, workspace)
+      out.cost[i] = priced_by_eq6(job.comm_intensive, job.num_nodes)
+                        ? model.selected(price_selected(*allocators[i], model,
+                                                        *cache, state, *nodes,
+                                                        request, workspace)
+                                             .costs)
                         : 0.0;
     }
     for (const AllocatorKind kind : kAllAllocatorKinds) {

@@ -10,7 +10,6 @@
 #include "audit/auditor.hpp"
 #include "cluster/state.hpp"
 #include "collectives/comm_cache.hpp"
-#include "core/adaptive_allocator.hpp"
 #include "core/allocator_common.hpp"
 #include "core/default_allocator.hpp"
 #include "core/io_model.hpp"
@@ -146,21 +145,6 @@ struct RunEntry {
   }
 };
 
-// The SA allocator's in-anneal delta-vs-full verification rides on the audit
-// level: cheap samples every 64th accepted move, full re-derives every one.
-// An explicit nonzero stride in the options wins over the bump.
-SaOptions sa_options_for(const SchedOptions& options) {
-  SaOptions sa = options.sa;
-  if (sa.verify_stride == 0) {
-    switch (options.audit.value_or(audit_level_from_env())) {
-      case AuditLevel::kOff: break;
-      case AuditLevel::kCheap: sa.verify_stride = 64; break;
-      case AuditLevel::kFull: sa.verify_stride = 1; break;
-    }
-  }
-  return sa;
-}
-
 class Simulation {
  public:
   Simulation(const Tree& tree, const JobLog& log, const SchedOptions& options)
@@ -170,11 +154,10 @@ class Simulation {
         state_(tree),
         comm_cache_(std::make_shared<CommCache>(
             log.empty() ? double{1 << 20} : log.front().msize)),
-        allocator_(make_allocator(options.allocator, options.cost_options,
-                                  comm_cache_, sa_options_for(options))),
-        sa_allocator_(dynamic_cast<const SaAllocator*>(allocator_.get())),
-        adaptive_allocator_(
-            dynamic_cast<const AdaptiveAllocator*>(allocator_.get())),
+        allocator_(make_allocator(
+            options.allocator, options.cost_options, comm_cache_,
+            sa_options_for(options.sa,
+                           options.audit.value_or(audit_level_from_env())))),
         model_(tree, options.cost_options),
         io_model_(tree),
         runtime_opts_(runtime_options_from_env(options.runtime_options)),
@@ -190,7 +173,7 @@ class Simulation {
     load_of_.resize(log.size());
     for (std::size_t i = 0; i < log.size(); ++i)
       load_of_[i] = DegradationModel::quantize_load(
-          log[i].comm_intensive && log[i].num_nodes >= 2,
+          priced_by_eq6(log[i].comm_intensive, log[i].num_nodes),
           log[i].comm_fraction);
     // At most one outstanding completion per running job, and each job holds
     // at least one node, so the heap never outgrows the machine (or the log).
@@ -642,7 +625,7 @@ class Simulation {
     const JobRecord& job = log_[idx];
     const AllocationRequest request = request_for(idx);
     const bool is_default = options_.allocator == AllocatorKind::kDefault;
-    const bool price_comm = job.comm_intensive && job.num_nodes >= 2;
+    const bool price_comm = priced_by_eq6(job.comm_intensive, job.num_nodes);
     const bool price_io = job.io_intensive && job.io_fraction > 0.0;
 
     // What stock SLURM would have done with this very state — the Eq. 7
@@ -659,58 +642,30 @@ class Simulation {
     double priced = 0.0, priced_default = 0.0;  // comm pricing metric
     const LeafCommProfile* profile = nullptr;
     if (price_comm) {
-      // Both Eq. 6 sums of the chosen placement from one kernel walk.
-      // Adaptive priced its winner in the select that produced `nodes`, on
-      // this very state, with the run's CostOptions and cache: its sums and
-      // profile are passed on instead of walked again. The sa anneal passes
-      // on its profile only: it kept just the selected sum, so the kernel
-      // still walks.
-      const bool reused = adaptive_allocator_ != nullptr &&
-                          adaptive_allocator_->last_has_cost();
-      CandidateCosts chosen;
-      if (reused) {
-        chosen = adaptive_allocator_->last_costs();
-        profile = adaptive_allocator_->last_profile();
-      } else {
-        profile =
-            sa_allocator_ != nullptr && sa_allocator_->last_has_cost()
-                ? sa_allocator_->last_profile()
-                : &candidate_profile(*comm_cache_, tree_, nodes, job.pattern);
-        chosen = model_.candidate_costs(state_, nodes, job.comm_intensive,
-                                        *profile, workspace_);
-      }
-      // The Eq. 7 baseline: the default placement, priced only when it is
-      // not the very node list just priced.
-      CandidateCosts baseline = chosen;
+      // Both Eq. 6 sums of the chosen placement: the price the policy handed
+      // on from the select that produced `nodes`, on this very state, or one
+      // walk. The Eq. 7 baseline is the default placement, priced only when
+      // it is not the very node list just priced.
+      const PricedPlacement chosen =
+          price_selected(*allocator_, model_, *comm_cache_, state_, nodes,
+                         request, workspace_);
+      profile = chosen.profile;
+      CandidateCosts baseline = chosen.costs;
       if (!is_default && default_nodes != nodes)
-        baseline = model_.candidate_costs(
-            state_, default_nodes, job.comm_intensive,
-            candidate_profile(*comm_cache_, tree_, default_nodes, job.pattern),
-            workspace_);
+        baseline = price_selected(default_allocator_, model_, *comm_cache_,
+                                  state_, default_nodes, request, workspace_)
+                       .costs;
       // Recorded metric: the paper's unweighted Eq. 6 cost (Figure 8); the
       // runtime ratio uses the (possibly msize-weighted) pricing metric.
-      cost = chosen.hops;
+      cost = chosen.costs.hops;
       cost_default = baseline.hops;
-      priced = model_.selected(chosen);
+      priced = model_.selected(chosen.costs);
       priced_default = model_.selected(baseline);
-      // A passed-on price must still fit the placement; so must the sa
-      // anneal's delta-evaluated total. Both were priced on the
-      // pre-allocation state, which is still intact here.
-      if (auditor_.enabled()) {
-        if (reused)
-          auditor_.check_reused_cost(model_, state_, nodes, job.comm_intensive,
-                                     *profile, {chosen.hops, chosen.hop_bytes},
-                                     request.job);
-        if (sa_allocator_ != nullptr && sa_allocator_->last_has_cost()) {
-          const double total = sa_allocator_->last_cost();
-          auditor_.check_reused_cost(
-              model_, state_, nodes, job.comm_intensive, *profile,
-              options_.cost_options.hop_bytes
-                  ? StateAuditor::ClaimedCosts{std::nullopt, total}
-                  : StateAuditor::ClaimedCosts{total, std::nullopt},
-              request.job);
-        }
-      }
+      // A handed-on price must still fit the placement: it was priced on
+      // the pre-allocation state, which is still intact here.
+      if (allocator_->last_priced() != nullptr)
+        auditor_.check_reused_cost(model_, state_, nodes, job.comm_intensive,
+                                   *profile, chosen.costs, request.job);
     }
     double io_cost = 0.0, io_cost_default = 0.0;
     if (price_io) {
@@ -923,13 +878,6 @@ class Simulation {
   // per simulation run.
   std::shared_ptr<CommCache> comm_cache_;
   std::unique_ptr<Allocator> allocator_;
-  // Non-owning view of allocator_ when it is the SA policy (null otherwise):
-  // start_job prices with the anneal's profile and hands its claimed cost
-  // to the auditor cross-check.
-  const SaAllocator* sa_allocator_ = nullptr;
-  // Non-owning view of allocator_ when it is the adaptive policy (null
-  // otherwise): start_job reuses the winner's price from its select.
-  const AdaptiveAllocator* adaptive_allocator_ = nullptr;
   DefaultAllocator default_allocator_;
   // Eq. 6 pricing: `hops` is recorded in JobResult, the sum the run's
   // CostOptions select feeds the Eq. 7 ratio.

@@ -92,10 +92,9 @@ struct SchedOptions {
   /// implies a running job, hence a pending completion event.
   double coloc_max_external = 0.25;
   /// AllocatorKind::kSa annealing knobs (ignored by the other policies).
-  /// The simulator bumps sa.verify_stride with the audit level (cheap ->
-  /// sampled delta-vs-full checks, full -> every accepted move) unless it is
-  /// already nonzero, and the auditor re-derives the SA allocator's claimed
-  /// cost after every communication-intensive start.
+  /// An unset sa.verify_stride rises with the audit level (sa_options_for,
+  /// audit/level.hpp), and from cheap up the auditor re-prices the price sa
+  /// hands on before every communication-intensive start commits.
   SaOptions sa{};
   /// EASY backfilling on/off (off = plain FIFO, blocks on the head job).
   bool easy_backfill = true;

@@ -113,30 +113,18 @@ void AllocatorService::handle_alloc(const Request& request, Reply& out) {
     return;
   }
   // Reported metric: the paper's unweighted Eq. 6 candidate cost, priced on
-  // the pre-commit state exactly like the simulator's start_job.
-  const bool price_comm = request.comm_intensive && request.num_nodes >= 2;
+  // the pre-commit state exactly like the simulator's start_job: the price
+  // the policy handed on from the select just made, or one walk.
+  const bool price_comm =
+      priced_by_eq6(request.comm_intensive, request.num_nodes);
   if (price_comm) {
-    // Adaptive priced its winner in the select just made, on this state:
-    // report that price instead of walking the kernel again.
-    if (allocator == adaptive_ && adaptive_->last_has_cost()) {
-      const CandidateCosts& costs = adaptive_->last_costs();
-      out.cost = costs.hops;
-      if (auditor_.enabled())
-        auditor_.check_reused_cost(model_, state_, nodes_scratch_,
-                                   /*comm_intensive=*/true,
-                                   *adaptive_->last_profile(),
-                                   {costs.hops, costs.hop_bytes}, request.job);
-    } else {
-      // The sa anneal hands on the profile it priced with, not both sums.
-      const LeafCommProfile& profile =
-          allocator == sa_ && sa_->last_has_cost()
-              ? *sa_->last_profile()
-              : candidate_profile(*cache_, *tree_, nodes_scratch_,
-                                  request.pattern);
-      out.cost = model_.candidate_costs(state_, nodes_scratch_,
-                                        /*comm_intensive=*/true, profile,
-                                        workspace_).hops;
-    }
+    const PricedPlacement priced = price_selected(
+        *allocator, model_, *cache_, state_, nodes_scratch_, areq, workspace_);
+    out.cost = priced.costs.hops;
+    if (allocator->last_priced() != nullptr)
+      auditor_.check_reused_cost(model_, state_, nodes_scratch_,
+                                 /*comm_intensive=*/true, *priced.profile,
+                                 priced.costs, request.job);
     if (auditor_.enabled())
       auditor_.check_cost(out.cost, request.job, "Eq. 6 cost");
   }
@@ -195,13 +183,9 @@ Allocator* AllocatorService::allocator_for(std::uint8_t code) {
     kind = static_cast<AllocatorKind>(code);
   }
   auto& slot = allocators_[static_cast<std::size_t>(kind)];
-  if (!slot) {
-    slot = make_allocator(kind, options_.cost_options, cache_, options_.sa);
-    if (kind == AllocatorKind::kAdaptive)
-      adaptive_ = static_cast<const AdaptiveAllocator*>(slot.get());
-    if (kind == AllocatorKind::kSa)
-      sa_ = static_cast<const SaAllocator*>(slot.get());
-  }
+  if (!slot)
+    slot = make_allocator(kind, options_.cost_options, cache_,
+                          sa_options_for(options_.sa, auditor_.level()));
   return slot.get();
 }
 

@@ -36,10 +36,8 @@
 
 #include "audit/auditor.hpp"
 #include "collectives/comm_cache.hpp"
-#include "core/adaptive_allocator.hpp"
 #include "core/allocator_factory.hpp"
 #include "core/cost_model.hpp"
-#include "core/sa_allocator.hpp"
 #include "serve/protocol.hpp"
 #include "topology/tree.hpp"
 
@@ -51,6 +49,8 @@ struct ServiceOptions {
   /// Pricing options handed to the allocators (hop-bytes weighting like
   /// SchedOptions); reply costs always report the unweighted Eq. 6 value.
   CostOptions cost_options{.hop_bytes = true};
+  /// sa knobs; an unset verify_stride rises with the audit level as in the
+  /// simulator (sa_options_for, audit/level.hpp).
   SaOptions sa{};
   double base_msize = double{1 << 20};
   /// Replies remembered for idempotent retry, FIFO-evicted. Retries must
@@ -103,12 +103,6 @@ class AllocatorService {
   std::array<std::unique_ptr<Allocator>,
              static_cast<std::size_t>(AllocatorKind::kSa) + 1>
       allocators_;  // lazily constructed per kind
-  /// allocators_'s adaptive policy once constructed (null before): its
-  /// select prices the winner, and handle_alloc reports that price.
-  const AdaptiveAllocator* adaptive_ = nullptr;
-  /// allocators_'s sa policy once constructed (null before): handle_alloc
-  /// prices its pick with the profile the anneal used.
-  const SaAllocator* sa_ = nullptr;
   std::vector<NodeId> nodes_scratch_;
 
   std::unordered_map<std::uint64_t, Reply> replay_;

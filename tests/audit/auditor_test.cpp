@@ -17,6 +17,7 @@
 #include "collectives/comm_cache.hpp"
 #include "collectives/schedule.hpp"
 #include "core/cost_model.hpp"
+#include "core/sa_allocator.hpp"
 #include "topology/builders.hpp"
 #include "util/assert.hpp"
 
@@ -470,19 +471,17 @@ LeafCommProfile alltoall_profile(const Tree& tree,
 }
 
 TEST_F(AuditorTest, SaCostCrossCheckPassesOnHonestClaim) {
-  // The claimed cost the search allocator reports is the full Eq. 6 price of
-  // the placement on the pre-allocation state, in the one sum its options
-  // select; re-deriving it through an independent workspace must agree bit
-  // for bit.
+  // The price the search allocator hands on is both Eq. 6 sums of the
+  // placement on the pre-allocation state; re-deriving them through an
+  // independent workspace must agree bit for bit.
   state_.allocate(1, true, std::vector<NodeId>{0, 1});
   const CostModel model(tree_, CostOptions{.hop_bytes = true});
   const std::vector<NodeId> nodes{2, 4, 5};
   const LeafCommProfile profile = alltoall_profile(tree_, nodes);
-  const double honest = fresh_costs(model, state_, nodes, profile).hop_bytes;
+  const CandidateCosts honest = fresh_costs(model, state_, nodes, profile);
   const std::uint64_t before = auditor_.checks_run();
   EXPECT_NO_THROW(auditor_.check_reused_cost(model, state_, nodes, true,
-                                             profile, {std::nullopt, honest},
-                                             7));
+                                             profile, honest, 7));
   EXPECT_GT(auditor_.checks_run(), before);
 }
 
@@ -490,18 +489,19 @@ TEST_F(AuditorTest, SaCostDivergenceFires) {
   const CostModel model(tree_, CostOptions{.hop_bytes = true});
   const std::vector<NodeId> nodes{0, 1, 4};
   const LeafCommProfile profile = alltoall_profile(tree_, nodes);
-  const double honest = fresh_costs(model, state_, nodes, profile).hop_bytes;
+  CandidateCosts drifted = fresh_costs(model, state_, nodes, profile);
   // Even a one-ulp drift is a violation: the delta kernel's contract is
   // bit-for-bit agreement, not approximate agreement.
-  const double drifted =
-      std::nextafter(honest, std::numeric_limits<double>::infinity());
+  drifted.hop_bytes = std::nextafter(drifted.hop_bytes,
+                                     std::numeric_limits<double>::infinity());
   const std::string msg = violation_message([&] {
-    auditor_.check_reused_cost(model, state_, nodes, true, profile,
-                               {std::nullopt, drifted}, 7);
+    auditor_.check_reused_cost(model, state_, nodes, true, profile, drifted,
+                               7);
   });
   EXPECT_NE(msg.find("reused Eq. 6 price diverges"), std::string::npos);
   EXPECT_NE(msg.find("job 7"), std::string::npos);
-  EXPECT_EQ(msg.find(" hops: claimed"), std::string::npos);  // none claimed
+  EXPECT_NE(msg.find(" hop_bytes: claimed"), std::string::npos);
+  EXPECT_EQ(msg.find(" hops: claimed"), std::string::npos);  // honest sum
 }
 
 TEST_F(AuditorTest, SaCostCheckSkippedWhenOff) {
@@ -524,8 +524,8 @@ TEST_F(AuditorTest, ReusedCostCheckRunsAtCheapLevel) {
   const LeafCommProfile profile = alltoall_profile(tree_, nodes);
   const CandidateCosts honest = fresh_costs(model, state_, nodes, profile);
   ASSERT_NE(honest.hops, honest.hop_bytes);
-  EXPECT_NO_THROW(cheap.check_reused_cost(model, state_, nodes, true, profile,
-                                          {honest.hops, honest.hop_bytes}, 7));
+  EXPECT_NO_THROW(
+      cheap.check_reused_cost(model, state_, nodes, true, profile, honest, 7));
   EXPECT_EQ(cheap.checks_run(), 1u);
 }
 
@@ -537,8 +537,8 @@ TEST_F(AuditorTest, PerturbedReusedSumFires) {
   const LeafCommProfile profile = alltoall_profile(tree_, nodes);
   const CandidateCosts honest = fresh_costs(model, state_, nodes, profile);
   for (const bool perturb_hops : {true, false}) {
-    StateAuditor::ClaimedCosts claim{honest.hops, honest.hop_bytes};
-    double& bad = perturb_hops ? *claim.hops : *claim.hop_bytes;
+    CandidateCosts claim = honest;
+    double& bad = perturb_hops ? claim.hops : claim.hop_bytes;
     bad = std::nextafter(bad, 0.0);
     const std::string msg = violation_message([&] {
       auditor_.check_reused_cost(model, state_, nodes, true, profile, claim,
@@ -561,10 +561,30 @@ TEST_F(AuditorTest, PriceFromAnotherStateFires) {
   const CandidateCosts stale = fresh_costs(model, state_, nodes, profile);
   state_.allocate(1, true, std::vector<NodeId>{0, 1, 6});
   const std::string msg = violation_message([&] {
-    auditor_.check_reused_cost(model, state_, nodes, true, profile,
-                               {stale.hops, stale.hop_bytes}, 3);
+    auditor_.check_reused_cost(model, state_, nodes, true, profile, stale,
+                               3);
   });
   EXPECT_NE(msg.find("reused Eq. 6 price diverges"), std::string::npos);
+}
+
+TEST(AuditLevelTest, SaVerifyStrideRisesWithTheLevel) {
+  // Unset, the stride follows the level: none at off, every 64th accepted
+  // move at cheap, every one at full.
+  const SaOptions unset;
+  ASSERT_EQ(unset.verify_stride, 0);
+  EXPECT_EQ(sa_options_for(unset, AuditLevel::kOff).verify_stride, 0);
+  EXPECT_EQ(sa_options_for(unset, AuditLevel::kCheap).verify_stride, 64);
+  EXPECT_EQ(sa_options_for(unset, AuditLevel::kFull).verify_stride, 1);
+  // Set, it wins at every level; the other knobs pass through untouched.
+  SaOptions set;
+  set.verify_stride = 8;
+  set.budget = 17;
+  for (const AuditLevel level :
+       {AuditLevel::kOff, AuditLevel::kCheap, AuditLevel::kFull}) {
+    const SaOptions got = sa_options_for(set, level);
+    EXPECT_EQ(got.verify_stride, 8) << audit_level_name(level);
+    EXPECT_EQ(got.budget, 17) << audit_level_name(level);
+  }
 }
 
 TEST(AuditLevelTest, EnvSelectsLevel) {

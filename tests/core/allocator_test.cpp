@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/adaptive_allocator.hpp"
@@ -299,7 +300,9 @@ TEST(AdaptiveAllocatorTest, PicksCheaperCandidateForCommJobs) {
     ASSERT_TRUE(alt.has_value());
     EXPECT_LE(adaptive_cost, cost_of(*alt) + 1e-9);
   }
-  EXPECT_DOUBLE_EQ(adaptive.last_cost(), adaptive_cost);
+  ASSERT_NE(adaptive.last_priced(), nullptr);
+  EXPECT_DOUBLE_EQ(model.selected(adaptive.last_priced()->costs),
+                   adaptive_cost);
 }
 
 TEST(AdaptiveAllocatorTest, PicksPricierCandidateForComputeJobs) {
@@ -342,7 +345,7 @@ TEST(AdaptiveAllocatorTest, IdenticalPicksArePricedOnce) {
             BalancedAllocator().select(f.state, request));
   const AdaptiveAllocator adaptive({}, f.cache);
   ASSERT_TRUE(adaptive.select(f.state, request).has_value());
-  EXPECT_TRUE(adaptive.last_has_cost());
+  EXPECT_NE(adaptive.last_priced(), nullptr);
   // One candidate priced: one profile lookup in the shared cache.
   EXPECT_EQ(f.cache->stats().profile_hits + f.cache->stats().profile_misses,
             1u);
@@ -363,44 +366,83 @@ TEST(AdaptiveAllocatorTest, IdenticalPicksGoToBalancedForBothJobClasses) {
   }
 }
 
-TEST(AdaptiveAllocatorTest, PassedOnSumsEqualAFreshWalk) {
-  // Identical picks and distinct picks alike: the winner's two sums and
-  // profile are exactly what a fresh candidate_costs computes.
-  const Tree tree = make_two_level_tree(4, 8);
-  ClusterState busy(tree);
-  busy.allocate(1, true, std::vector<NodeId>{0, 1, 2, 3});
-  IdenticalPicks idle;
-  for (const ClusterState* state : {&idle.state, &busy}) {
-    for (const bool comm : {true, false}) {
-      for (const bool hop_bytes : {false, true}) {
-        const CostOptions options{.hop_bytes = hop_bytes};
-        const AdaptiveAllocator adaptive(options, idle.cache);
-        const AllocationRequest request =
-            comm ? comm_request(8, Pattern::kRecursiveHalvingVD)
-                 : compute_request(8);
-        const auto pick = adaptive.select(*state, request);
-        ASSERT_TRUE(pick.has_value());
-        ASSERT_TRUE(adaptive.last_has_cost());
-        const LeafCommProfile& profile = idle.cache->profile(
-            request.pattern, 1, make_shape_key(tree, *pick));
-        EXPECT_EQ(adaptive.last_profile(), &profile);
-        const CostModel model(tree, options);
-        CostWorkspace ws;
-        const CandidateCosts fresh =
-            model.candidate_costs(*state, *pick, comm, profile, ws);
-        EXPECT_EQ(adaptive.last_costs(), fresh);
-        EXPECT_EQ(adaptive.last_cost(), model.selected(fresh));
-      }
-    }
-  }
-}
-
 TEST(AdaptiveAllocatorTest, NulloptWhenNothingFits) {
   const Tree tree = make_figure2_tree();
   ClusterState state(tree);
   state.allocate(1, false, std::vector<NodeId>{0, 1, 2, 3, 4, 5, 6});
   const AdaptiveAllocator adaptive;
   EXPECT_FALSE(adaptive.select(state, comm_request(2)).has_value());
+}
+
+// ---- the handed-on price ----------------------------------------------------
+
+// Allocator::last_priced() over every registered policy: after each
+// successful select it is null, or exactly a fresh candidate_costs of the
+// returned nodes and the cache's profile for them. Adaptive hands a price on
+// whenever both of its candidates exist; sa for every communication request
+// and never for a compute one.
+TEST(AllocatorContractTest, LastPricedIsNullOrAFreshWalk) {
+  // 8 x 4, peppered so that a 12-node job spans leaves, greedy and balanced
+  // disagree and sa's anneal finds a cheaper placement than its seed.
+  const Tree tree = make_two_level_tree(8, 4);
+  const ClusterState idle(tree);
+  ClusterState busy(tree);
+  busy.allocate(1, true, std::vector<NodeId>{0, 1, 2});
+  busy.allocate(2, false, std::vector<NodeId>{4, 5, 6});
+  busy.allocate(3, true, std::vector<NodeId>{8, 9});
+  busy.allocate(4, true, std::vector<NodeId>{13, 14});
+  busy.allocate(5, false, std::vector<NodeId>{17, 18});
+  busy.allocate(6, true, std::vector<NodeId>{21, 22});
+  int adaptive_priced = 0;
+  int sa_moved = 0;  // sa picks that differ from their adaptive seed
+  const ClusterState* const states[] = {&idle, &busy};
+  for (const ClusterState* state : states) {
+    for (const bool comm : {true, false}) {
+      for (const bool hop_bytes : {false, true}) {
+        const CostOptions options{.hop_bytes = hop_bytes};
+        const AllocationRequest request =
+            comm ? comm_request(12, Pattern::kPairwiseAlltoall)
+                 : compute_request(12);
+        const bool both_candidates =
+            GreedyAllocator().select(*state, request).has_value() &&
+            BalancedAllocator().select(*state, request).has_value();
+        for (const AllocatorKind kind : kAllRegisteredAllocatorKinds) {
+          SCOPED_TRACE(std::string(allocator_kind_name(kind)) +
+                       (state == &idle ? " idle" : " busy") +
+                       (comm ? " comm" : " compute") +
+                       (hop_bytes ? " hop-bytes" : " hops"));
+          const auto cache = std::make_shared<CommCache>(1 << 20);
+          const auto allocator = make_allocator(kind, options, cache);
+          std::vector<NodeId> nodes;
+          if (!allocator->select_into(*state, request, nodes)) {
+            // Only exclusive, which takes whole leaves, may refuse.
+            EXPECT_EQ(kind, AllocatorKind::kExclusive);
+            continue;
+          }
+          const PricedPlacement* priced = allocator->last_priced();
+          if (kind == AllocatorKind::kAdaptive) {
+            EXPECT_EQ(priced != nullptr, both_candidates);
+            if (priced != nullptr) ++adaptive_priced;
+          }
+          if (kind == AllocatorKind::kSa) {
+            EXPECT_EQ(priced != nullptr, comm);
+            if (nodes != AdaptiveAllocator(options).select(*state, request))
+              ++sa_moved;
+          }
+          if (priced == nullptr) continue;
+          const LeafCommProfile& profile =
+              cache->profile(request.pattern, 1, make_shape_key(tree, nodes));
+          EXPECT_EQ(priced->profile, &profile);
+          const CostModel model(tree, options);
+          CostWorkspace ws;
+          EXPECT_EQ(priced->costs,
+                    model.candidate_costs(*state, nodes, comm, profile, ws));
+        }
+      }
+    }
+  }
+  EXPECT_EQ(adaptive_priced, 8);
+  EXPECT_GT(sa_moved, 0);
 }
 
 // ---- factory ---------------------------------------------------------------

@@ -95,8 +95,7 @@ TEST_F(SaAllocatorFixture, DeterministicAcrossCallsAndInstances) {
 TEST_F(SaAllocatorFixture, NeverWorseThanEitherSeedPolicy) {
   const GreedyAllocator greedy;
   const BalancedAllocator balanced;
-  const auto cache = std::make_shared<CommCache>(double{1 << 20});
-  const SaAllocator sa(CostOptions{.hop_bytes = true}, SaOptions{}, cache);
+  const SaAllocator sa(CostOptions{.hop_bytes = true});
   for (const int n : {4, 6, 8, 12}) {
     for (const Pattern p :
          {Pattern::kPairwiseAlltoall, Pattern::kRecursiveDoubling,
@@ -109,13 +108,6 @@ TEST_F(SaAllocatorFixture, NeverWorseThanEitherSeedPolicy) {
       const double sa_cost = price(sa_pick, r);
       EXPECT_LE(sa_cost, price(greedy_pick, r)) << "n=" << n;
       EXPECT_LE(sa_cost, price(balanced_pick, r)) << "n=" << n;
-      // The claimed cost is the full Eq. 6 price of the returned placement,
-      // and the profile it was priced with is that placement's.
-      ASSERT_TRUE(sa.last_has_cost());
-      EXPECT_EQ(sa_cost, sa.last_cost()) << "n=" << n;
-      EXPECT_EQ(sa.last_profile(),
-                &candidate_profile(*cache, tree_, sa_pick, p))
-          << "n=" << n;
     }
   }
 }
@@ -134,7 +126,6 @@ TEST_F(SaAllocatorFixture, ZeroBudgetReturnsTheCheaperSeed) {
   const double gc = price(greedy_pick, r), bc = price(balanced_pick, r);
   // Ties go to balanced, mirroring the adaptive policy.
   EXPECT_EQ(sa_pick, bc <= gc ? balanced_pick : greedy_pick);
-  EXPECT_EQ(sa.last_cost(), std::min(gc, bc));
   EXPECT_EQ(sa.last_proposals(), 0);
 }
 
@@ -149,8 +140,6 @@ TEST_F(SaAllocatorFixture, ComputeJobsFollowTheAdaptiveRule) {
   ASSERT_TRUE(sa.select_into(state_, r, sa_pick));
   ASSERT_TRUE(adaptive.select_into(state_, r, adaptive_pick));
   EXPECT_EQ(sa_pick, adaptive_pick);
-  EXPECT_FALSE(sa.last_has_cost());
-  EXPECT_EQ(sa.last_profile(), nullptr);
 }
 
 // A policy that proposes nothing: the anneal must end immediately and fall

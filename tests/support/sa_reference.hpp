@@ -7,9 +7,10 @@
 // through public APIs only: the seed from AdaptiveAllocator, the moves
 // priced through CostModel's delta session, a fresh built-in
 // ProposalPolicy, and the same per-job Rng stream. Its best placement is
-// rebuilt from the seed's ShapeKey runs. The allocator's placement and
-// last_cost() must equal the reference's bit for bit; its proposal and
-// accept counts may be lower, and only for one-slot anneals.
+// rebuilt from the seed's ShapeKey runs. The allocator's placement and the
+// sum its CostOptions select of the price it hands on (last_priced()) must
+// equal the reference's bit for bit; its proposal and accept counts may be
+// lower, and only for one-slot anneals.
 #pragma once
 
 #include <memory>
