@@ -58,8 +58,7 @@ PricedPlacement price_candidate(const CostModel& model, CommCache& cache,
                                 bool comm_intensive, Pattern pattern,
                                 CostWorkspace& workspace);
 
-/// The sum of price_candidate that model's CostOptions select: the I/O-aware
-/// policy's Eq. 6 term.
+/// The sum of price_candidate that model's CostOptions select.
 double profiled_candidate_cost(const CostModel& model, CommCache& cache,
                                const ClusterState& state,
                                std::span<const NodeId> nodes,

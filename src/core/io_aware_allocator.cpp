@@ -96,6 +96,7 @@ bool IoAwareAllocator::spread_into(const ClusterState& state, int num_nodes,
 bool IoAwareAllocator::select_into(const ClusterState& state,
                                    const AllocationRequest& request,
                                    std::vector<NodeId>& out) const {
+  last_priced_ = {};
   // Candidates.
   const bool have_greedy = greedy_.select_into(state, request, greedy_pick_);
   const bool have_balanced =
@@ -112,34 +113,22 @@ bool IoAwareAllocator::select_into(const ClusterState& state,
   const CostModel comm_model(state.tree(), cost_options_);
   const IoModel io_model(state.tree());
 
-  const double comm_base =
-      priced_by_eq6(request.comm_intensive, request.num_nodes)
-          ? profiled_candidate_cost(comm_model, *cache_, state, default_pick_,
-                                    request.comm_intensive, request.pattern,
-                                    workspace_)
-          : 0.0;
+  // Each placement is priced at most once, and the returned one's price is
+  // handed on (last_priced).
+  const bool price_comm =
+      priced_by_eq6(request.comm_intensive, request.num_nodes);
+  const PricedPlacement base =
+      price_comm ? price_candidate(comm_model, *cache_, state, default_pick_,
+                                   request.comm_intensive, request.pattern,
+                                   workspace_)
+                 : PricedPlacement{};
+  const double comm_base = price_comm ? comm_model.selected(base.costs) : 0.0;
   const double io_base =
       io_model.candidate_cost(state, default_pick_, request.io_intensive);
 
-  const auto score = [&](const std::vector<NodeId>& nodes) {
-    double s = 0.0;
-    if (priced_by_eq6(request.comm_intensive, request.num_nodes) &&
-        request.comm_fraction > 0.0)
-      s += request.comm_fraction *
-           cost_ratio(profiled_candidate_cost(comm_model, *cache_, state,
-                                              nodes, request.comm_intensive,
-                                              request.pattern, workspace_),
-                      comm_base);
-    if (request.io_intensive && request.io_fraction > 0.0)
-      s += request.io_fraction *
-           cost_ratio(io_model.candidate_cost(state, nodes,
-                                              request.io_intensive),
-                      io_base);
-    return s;
-  };
-
   const std::vector<NodeId>* best = nullptr;
   double best_score = 0.0;
+  PricedPlacement best_priced;
   const std::pair<bool, const std::vector<NodeId>*> candidates[] = {
       {have_greedy, &greedy_pick_},
       {have_balanced, &balanced_pick_},
@@ -147,14 +136,29 @@ bool IoAwareAllocator::select_into(const ClusterState& state,
   };
   for (const auto& [have, candidate] : candidates) {
     if (!have) continue;
-    const double s = score(*candidate);
+    double s = 0.0;
+    PricedPlacement priced;
+    if (price_comm && request.comm_fraction > 0.0) {
+      priced = price_candidate(comm_model, *cache_, state, *candidate,
+                               request.comm_intensive, request.pattern,
+                               workspace_);
+      s += request.comm_fraction *
+           cost_ratio(comm_model.selected(priced.costs), comm_base);
+    }
+    if (request.io_intensive && request.io_fraction > 0.0)
+      s += request.io_fraction *
+           cost_ratio(io_model.candidate_cost(state, *candidate,
+                                              request.io_intensive),
+                      io_base);
     if (best == nullptr || s < best_score) {
       best_score = s;
       best = candidate;
+      best_priced = priced;
     }
   }
   // No candidate: fall back to stock.
   out = best != nullptr ? *best : default_pick_;
+  last_priced_ = best != nullptr ? best_priced : base;
   return true;
 }
 

@@ -41,6 +41,14 @@ class IoAwareAllocator final : public Allocator {
                    const AllocationRequest& request,
                    std::vector<NodeId>& out) const override;
 
+  /// Both Eq. 6 sums of the placement the last select() returned, when its
+  /// score priced it: a winning candidate whenever the request is priced by
+  /// Eq. 6 with comm_fraction > 0, and the default fallback whenever the
+  /// request is priced by Eq. 6.
+  const PricedPlacement* last_priced() const noexcept override {
+    return last_priced_.profile != nullptr ? &last_priced_ : nullptr;
+  }
+
   /// The I/O-spread candidate by itself (exposed for tests/benches):
   /// near-equal contiguous blocks over the least-I/O-loaded leaves, so the
   /// per-leaf L_io growth is minimal while rank blocks stay intact.
@@ -75,6 +83,9 @@ class IoAwareAllocator final : public Allocator {
   mutable std::vector<SwitchId> spread_order_;
   // workspace: see greedy_pick_.
   mutable std::vector<int> spread_desired_;
+  // workspace: post-hoc record of the last select(), written once per call
+  // and only read back through last_priced().
+  mutable PricedPlacement last_priced_;
 };
 
 }  // namespace commsched

@@ -11,19 +11,55 @@
 
 namespace commsched {
 
-const char* sa_proposal_kind_name(SaProposalKind kind) {
-  switch (kind) {
-    case SaProposalKind::kUniform: return "uniform";
-    case SaProposalKind::kLocality: return "locality";
-  }
-  return "?";
-}
+namespace {
 
-std::optional<SaProposalKind> sa_proposal_kind_from_string(
-    const std::string& s) {
-  if (s == "uniform") return SaProposalKind::kUniform;
-  if (s == "locality") return SaProposalKind::kLocality;
-  return std::nullopt;
+/// Share of moves that are two-slot swaps (when >= 2 slots exist). Swaps
+/// explore placement permutations capacity-neutrally; reassignments explore
+/// new leaves. A fixed split keeps both move kinds in play at every
+/// temperature.
+constexpr double kSwapProbability = 0.25;
+
+/// Rejection-sampling attempts for the locality bias before falling back to
+/// the last uniform draw. Bounded so one propose_move() call stays O(1).
+constexpr int kLocalityTries = 8;
+
+}  // namespace
+
+// hot-path: no-alloc
+void propose_move(const Tree& tree, std::span<const SwitchId> slot_leaf,
+                  std::span<const SwitchId> candidate_leaves, Rng& rng,
+                  MoveProposal& out) {
+  const auto k = static_cast<std::int64_t>(slot_leaf.size());
+  if (k >= 2 && rng.bernoulli(kSwapProbability)) {
+    const auto s1 = rng.uniform_int(0, k - 1);
+    auto s2 = rng.uniform_int(0, k - 2);
+    if (s2 >= s1) ++s2;  // uniform over the other slots
+    out.moves[0] = {static_cast<std::int32_t>(s1),
+                    slot_leaf[static_cast<std::size_t>(s2)]};
+    out.moves[1] = {static_cast<std::int32_t>(s2),
+                    slot_leaf[static_cast<std::size_t>(s1)]};
+    out.count = 2;
+    return;
+  }
+  const auto s = rng.uniform_int(0, k - 1);
+  auto anchor = s;
+  if (k > 1) {
+    anchor = rng.uniform_int(0, k - 2);
+    if (anchor >= s) ++anchor;
+  }
+  const SwitchId anchor_leaf = slot_leaf[static_cast<std::size_t>(anchor)];
+  const auto n_cand = static_cast<std::int64_t>(candidate_leaves.size());
+  SwitchId target = kInvalidSwitch;
+  for (int attempt = 0; attempt < kLocalityTries; ++attempt) {
+    target = candidate_leaves[
+        static_cast<std::size_t>(rng.uniform_int(0, n_cand - 1))];
+    // d(anchor, anchor) == 2, so same-leaf/nearby targets accept with
+    // probability 1 and the probability halves per extra hop level.
+    const double d = tree.leaf_distance(anchor_leaf, target);
+    if (rng.bernoulli(2.0 / d)) break;
+  }
+  out.moves[0] = {static_cast<std::int32_t>(s), target};
+  out.count = 1;
 }
 
 SaAllocator::SaAllocator(CostOptions cost_options, SaOptions options,
@@ -38,22 +74,6 @@ SaAllocator::SaAllocator(CostOptions cost_options, SaOptions options,
   COMMSCHED_ASSERT_GE(options_.init_temp_frac, 0.0);
   COMMSCHED_ASSERT_GE(options_.patience, 0);
   COMMSCHED_ASSERT_GE(options_.verify_stride, 0);
-  switch (options_.proposal) {
-    case SaProposalKind::kUniform:
-      policy_ = std::make_unique<UniformProposalPolicy>();
-      break;
-    case SaProposalKind::kLocality:
-      policy_ = std::make_unique<LocalityProposalPolicy>();
-      break;
-  }
-  COMMSCHED_ASSERT_MSG(policy_ != nullptr, "unknown SA proposal kind");
-}
-
-SaAllocator::~SaAllocator() = default;
-
-void SaAllocator::set_proposal_policy(std::unique_ptr<ProposalPolicy> policy) {
-  COMMSCHED_ASSERT_MSG(policy != nullptr, "proposal policy must not be null");
-  policy_ = std::move(policy);
 }
 
 // hot-path: no-alloc
@@ -124,6 +144,10 @@ void SaAllocator::anneal(const ClusterState& state,
     if (state.leaf_free(leaf) >= min_nodes)
       // contract-trusted: no-alloc: leaf-count-bounded, capacity reused
       cand_leaves_.push_back(leaf);
+  // Each seed slot's leaf has room for that slot, so the smallest slot's
+  // leaf is a candidate: propose_move always has a target to draw.
+  COMMSCHED_ASSERT_GE_MSG(cand_leaves_.size(), std::size_t{1},
+                          "the seed's leaves must be candidates");
 
   // One slot: min_nodes is its size, so every candidate leaf can hold it,
   // and every feasible proposal targets one. delta_begin priced the seed's
@@ -140,14 +164,9 @@ void SaAllocator::anneal(const ClusterState& state,
     leaf_priced_.resize(static_cast<std::size_t>(tree.leaf_count()));
     leaf_priced_[static_cast<std::size_t>(tree.leaf_index(cur_leaf_[0]))] =
         priced_epoch_;
-    COMMSCHED_ASSERT_GE_MSG(cand_leaves_.size(), std::size_t{1},
-                            "the seed's leaf must be a candidate");
     unpriced = cand_leaves_.size() - 1;
   }
 
-  const SaMoveContext ctx{&state, &tree, cur_leaf_, slot_nnodes_,
-                          cand_leaves_};
-  policy_->begin(ctx);
   // Stateless per-job stream: the anneal's randomness depends only on
   // (options seed, job id), never on prior select() calls — what keeps the
   // fast and reference engines (and any thread count) bit-identical.
@@ -162,7 +181,7 @@ void SaAllocator::anneal(const ClusterState& state,
   for (int it = 0; it < options_.budget; ++it) {
     if (options_.patience > 0 && since_best >= options_.patience) break;
     if (unpriced == 0) break;
-    if (!policy_->propose(ctx, rng, prop)) break;
+    propose_move(tree, cur_leaf_, cand_leaves_, rng, prop);
     ++last_proposals_;
     bool new_best = false;
     if (move_feasible(state, prop)) {
@@ -188,7 +207,6 @@ void SaAllocator::anneal(const ClusterState& state,
               prop.moves[m].leaf;
         current = cand;
         ++last_accepts_;
-        policy_->on_accept(ctx, prop);
         if (options_.verify_stride > 0 &&
             last_accepts_ % options_.verify_stride == 0) {
           // Sampled oracle: the delta-maintained total must equal a full
@@ -228,35 +246,23 @@ void SaAllocator::anneal(const ClusterState& state,
   }
 }
 
+// Whether a move propose_move drew can be priced. propose_move knows neither
+// which leaves the slots hold nor the slots' sizes, so a reassignment must
+// target a leaf no slot holds (its own included), and every moved slot must
+// fit its target leaf.
 // hot-path: no-alloc
 bool SaAllocator::move_feasible(const ClusterState& state,
                                 const MoveProposal& prop) const {
-  const auto k = static_cast<std::int32_t>(cur_leaf_.size());
-  if (prop.count == 0 || prop.count > kMaxDeltaMoves) return false;
+  if (prop.count == 1)
+    for (const SwitchId leaf : cur_leaf_)
+      if (leaf == prop.moves[0].leaf) return false;
   for (std::size_t m = 0; m < prop.count; ++m) {
     const SlotMove& mv = prop.moves[m];
-    if (mv.slot < 0 || mv.slot >= k || mv.leaf == kInvalidSwitch) return false;
-  }
-  if (prop.count == 2) {
-    const SlotMove& a = prop.moves[0];
-    const SlotMove& b = prop.moves[1];
-    // Swap contract: targets are each other's current leaves, so the
-    // one-slot-per-leaf invariant is preserved by construction.
-    if (a.slot == b.slot) return false;
-    if (a.leaf != cur_leaf_[static_cast<std::size_t>(b.slot)] ||
-        b.leaf != cur_leaf_[static_cast<std::size_t>(a.slot)])
+    if (state.leaf_free(mv.leaf) <
+        slot_nnodes_[static_cast<std::size_t>(mv.slot)])
       return false;
-    return state.leaf_free(a.leaf) >=
-               slot_nnodes_[static_cast<std::size_t>(a.slot)] &&
-           state.leaf_free(b.leaf) >=
-               slot_nnodes_[static_cast<std::size_t>(b.slot)];
   }
-  const SlotMove& mv = prop.moves[0];
-  const auto s = static_cast<std::size_t>(mv.slot);
-  if (mv.leaf == cur_leaf_[s]) return false;  // no-op
-  for (const SwitchId leaf : cur_leaf_)
-    if (leaf == mv.leaf) return false;  // occupied by another slot
-  return state.leaf_free(mv.leaf) >= slot_nnodes_[s];
+  return true;
 }
 
 // Rebuild the node list for a (possibly moved) slot assignment by walking

@@ -24,38 +24,27 @@
 // repeated runs. The budget is iterations, never wall clock.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
-#include <optional>
-#include <string>
+#include <span>
 #include <vector>
 
 #include "collectives/comm_cache.hpp"
 #include "core/adaptive_allocator.hpp"
 #include "core/allocator.hpp"
 #include "core/cost_model.hpp"
-#include "core/proposal_policy.hpp"
+#include "topology/tree.hpp"
+#include "util/rng.hpp"
 
 namespace commsched {
 
-/// Built-in proposal policies (SaOptions::proposal; a custom policy can be
-/// injected via SaAllocator::set_proposal_policy).
-enum class SaProposalKind : std::uint8_t {
-  kUniform = 0,
-  kLocality = 1,
-};
-
-const char* sa_proposal_kind_name(SaProposalKind kind);
-std::optional<SaProposalKind> sa_proposal_kind_from_string(
-    const std::string& s);
-
 /// Annealing knobs (slurm.conf: SelectTypeParameters=sa,sa_budget=...).
 struct SaOptions {
-  /// Most proposals per communication-intensive select(). <= 0 disables
-  /// the anneal: the allocator returns its seed. An anneal may end before
-  /// its budget or patience runs out: a one-slot job stops once every leaf
-  /// that can hold it has been priced, so a proposal policy must not count
-  /// on a fixed number of proposals.
+  /// Most proposals per communication-intensive select(), feasible or not.
+  /// <= 0 disables the anneal: the allocator returns its seed. A one-slot
+  /// anneal may stop sooner, once every leaf that can hold the job has been
+  /// priced.
   int budget = 1200;
   /// Base seed; each job's stream is splitmix64(seed ^ splitmix64(job)), so
   /// per-job randomness is stateless across select() calls.
@@ -67,7 +56,6 @@ struct SaOptions {
   /// Stop after this many proposals without a new best (0 = run out the
   /// budget).
   int patience = 250;
-  SaProposalKind proposal = SaProposalKind::kLocality;
   /// > 0: every Nth accepted move, re-derive the delta-maintained total with
   /// a full candidate_cost and fail loudly on any bitwise divergence. The
   /// simulator and allocd raise an unset stride with the audit level
@@ -76,24 +64,40 @@ struct SaOptions {
   int verify_stride = 0;
 };
 
+/// One anneal move: count == 1 reassigns a slot to a leaf, count == 2
+/// swaps two slots' leaves (each move targets the other slot's leaf).
+struct MoveProposal {
+  std::array<SlotMove, kMaxDeltaMoves> moves{};
+  std::size_t count = 0;
+};
+
+/// Draw the anneal's next move into `out`, from `rng` alone. With two or
+/// more slots, a quarter of the moves swap the leaves of two uniformly
+/// drawn slots. The rest move a uniformly drawn slot to a candidate leaf,
+/// rejection-sampled toward an anchor: another uniformly drawn slot, or the
+/// moving slot when it is the only one. A draw is kept with probability
+/// 2 / d(anchor's leaf, target), so leaves near the rest of the job come up
+/// more often and none is excluded. `slot_leaf` holds each slot's current
+/// leaf and `candidate_leaves` every leaf with room for the smallest slot;
+/// neither may be empty. A move may still be infeasible: its target may be
+/// held by a slot (the moving slot's own leaf included) or be too small
+/// for a moved slot.
+void propose_move(const Tree& tree, std::span<const SwitchId> slot_leaf,
+                  std::span<const SwitchId> candidate_leaves, Rng& rng,
+                  MoveProposal& out);
+
 /// Search-based allocator: adaptive seeding + simulated annealing over slot
 /// moves, priced through the delta-cost session.
 class SaAllocator final : public Allocator {
  public:
   explicit SaAllocator(CostOptions cost_options = {}, SaOptions options = {},
                        std::shared_ptr<CommCache> cache = nullptr);
-  ~SaAllocator() override;
 
   const char* name() const noexcept override { return "sa"; }
   const SaOptions& options() const noexcept { return options_; }
 
   bool select_into(const ClusterState& state, const AllocationRequest& request,
                    std::vector<NodeId>& out) const override;
-
-  /// Replace the move generator (the neural-SA drop-in point). Must not be
-  /// called concurrently with select().
-  void set_proposal_policy(std::unique_ptr<ProposalPolicy> policy);
-  const ProposalPolicy& proposal_policy() const noexcept { return *policy_; }
 
   /// Both Eq. 6 sums of the placement the last select() returned, for every
   /// communication-intensive request, and the anneal's profile: the seed's,
@@ -123,7 +127,6 @@ class SaAllocator final : public Allocator {
   // Prices through the same CostOptions and cache_, so its seed cost is the
   // one the anneal starts from.
   AdaptiveAllocator adaptive_;
-  std::unique_ptr<ProposalPolicy> policy_;
 
   // workspace: cost-kernel + delta-session scratch reused across const
   // select() calls; observable state is untouched (CostModel is stateless).

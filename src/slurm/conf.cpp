@@ -1,6 +1,7 @@
 #include "slurm/conf.hpp"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "util/strings.hpp"
@@ -16,8 +17,8 @@ namespace {
 }
 
 constexpr const char* kSaParams =
-    "sa, sa_budget=<int>, sa_seed=<int>, sa_t0=<float>, sa_cooling=<float>, "
-    "sa_patience=<int>, sa_proposal=uniform|locality, sa_verify=<int>";
+    "sa, sa_budget=<int>, sa_seed=<uint64>, sa_t0=<float>, "
+    "sa_cooling=<float>, sa_patience=<int>, sa_verify=<int>";
 
 /// One SelectTypeParameters token: `sa` selects the SA policy, the sa_*
 /// knobs map onto SaOptions.
@@ -35,13 +36,13 @@ void apply_select_param(SlurmConf& conf, const std::string& tok, int lineno) {
   const std::string pval(trim(tok.substr(eq + 1)));
   SaOptions& sa = conf.sched.sa;
   if (pkey == "sa_budget") {
-    const auto v = parse_int(pval);
+    const auto v = parse_int_at_least(pval, std::numeric_limits<int>::min());
     if (!v) bad_value(pkey, pval, lineno);
-    sa.budget = static_cast<int>(*v);
+    sa.budget = *v;
   } else if (pkey == "sa_seed") {
-    const auto v = parse_int(pval);
+    const auto v = parse_uint64(pval);
     if (!v) bad_value(pkey, pval, lineno);
-    sa.seed = static_cast<std::uint64_t>(*v);
+    sa.seed = *v;
   } else if (pkey == "sa_t0") {
     const auto v = parse_double(pval);
     if (!v || *v < 0.0) bad_value(pkey, pval, lineno);
@@ -51,17 +52,13 @@ void apply_select_param(SlurmConf& conf, const std::string& tok, int lineno) {
     if (!v || *v <= 0.0 || *v > 1.0) bad_value(pkey, pval, lineno);
     sa.cooling = *v;
   } else if (pkey == "sa_patience") {
-    const auto v = parse_int(pval);
-    if (!v || *v < 0) bad_value(pkey, pval, lineno);
-    sa.patience = static_cast<int>(*v);
-  } else if (pkey == "sa_proposal") {
-    const auto kind = sa_proposal_kind_from_string(pval);
-    if (!kind) bad_value(pkey, pval, lineno);
-    sa.proposal = *kind;
+    const auto v = parse_int_at_least(pval, 0);
+    if (!v) bad_value(pkey, pval, lineno);
+    sa.patience = *v;
   } else if (pkey == "sa_verify") {
-    const auto v = parse_int(pval);
-    if (!v || *v < 0) bad_value(pkey, pval, lineno);
-    sa.verify_stride = static_cast<int>(*v);
+    const auto v = parse_int_at_least(pval, 0);
+    if (!v) bad_value(pkey, pval, lineno);
+    sa.verify_stride = *v;
   } else {
     throw ParseError("slurm.conf:" + std::to_string(lineno) +
                      ": unknown SelectTypeParameters token '" + tok +
@@ -87,21 +84,21 @@ void apply_allocd_param(SlurmConf& conf, const std::string& tok, int lineno) {
     if (pval.empty()) bad_value(pkey, pval, lineno);
     serve.socket_path = pval;
   } else if (pkey == "queue") {
-    const auto v = parse_int(pval);
-    if (!v || *v < 1) bad_value(pkey, pval, lineno);
-    serve.queue_depth = static_cast<int>(*v);
+    const auto v = parse_int_at_least(pval, 1);
+    if (!v) bad_value(pkey, pval, lineno);
+    serve.queue_depth = *v;
   } else if (pkey == "deadline_ms") {
-    const auto v = parse_int(pval);
-    if (!v || *v < 0) bad_value(pkey, pval, lineno);
-    serve.default_deadline_ms = static_cast<int>(*v);
+    const auto v = parse_int_at_least(pval, 0);
+    if (!v) bad_value(pkey, pval, lineno);
+    serve.default_deadline_ms = *v;
   } else if (pkey == "idle_ms") {
-    const auto v = parse_int(pval);
-    if (!v || *v < 0) bad_value(pkey, pval, lineno);
-    serve.idle_timeout_ms = static_cast<int>(*v);
+    const auto v = parse_int_at_least(pval, 0);
+    if (!v) bad_value(pkey, pval, lineno);
+    serve.idle_timeout_ms = *v;
   } else if (pkey == "write_ms") {
-    const auto v = parse_int(pval);
-    if (!v || *v < 0) bad_value(pkey, pval, lineno);
-    serve.write_timeout_ms = static_cast<int>(*v);
+    const auto v = parse_int_at_least(pval, 0);
+    if (!v) bad_value(pkey, pval, lineno);
+    serve.write_timeout_ms = *v;
   } else {
     throw ParseError("slurm.conf:" + std::to_string(lineno) +
                      ": unknown AllocdParameters token '" + tok +
@@ -167,9 +164,9 @@ SlurmConf parse_slurm_conf(std::istream& in) {
         if (!tok.empty()) apply_allocd_param(conf, tok, lineno);
       }
     } else if (key == "BackfillDepth") {
-      const auto depth = parse_int(value);
-      if (!depth || *depth < 1) bad_value(key, value, lineno);
-      conf.sched.backfill_depth = static_cast<int>(*depth);
+      const auto depth = parse_int_at_least(value, 1);
+      if (!depth) bad_value(key, value, lineno);
+      conf.sched.backfill_depth = *depth;
     } else if (key == "EnforceWallTime") {
       if (value == "yes") conf.sched.enforce_walltime = true;
       else if (value == "no") conf.sched.enforce_walltime = false;
@@ -237,8 +234,6 @@ std::string write_slurm_conf(const SlurmConf& conf) {
     }
     if (sa.patience != def.patience)
       add("sa_patience=" + std::to_string(sa.patience));
-    if (sa.proposal != def.proposal)
-      add(std::string("sa_proposal=") + sa_proposal_kind_name(sa.proposal));
     if (sa.verify_stride != def.verify_stride)
       add("sa_verify=" + std::to_string(sa.verify_stride));
     const std::string rendered = params.str();

@@ -13,9 +13,11 @@
 //                        balanced, adaptive, exclusive, io_aware, sa)
 //   SelectTypeParameters = comma list tuning the sa policy: `sa` selects it
 //                        (same as JobAware=sa); sa_budget=<int>,
-//                        sa_seed=<int>, sa_t0=<float>, sa_cooling=<float>,
-//                        sa_patience=<int>, sa_proposal=uniform|locality,
-//                        sa_verify=<int> map onto SaOptions
+//                        sa_seed=<uint64>, sa_t0=<float>, sa_cooling=<float>,
+//                        sa_patience=<int>, sa_verify=<int> map onto
+//                        SaOptions
+//   Integer values must fit an int (sa_seed: 64 unsigned bits); a value
+//   that would wrap is rejected like any other unsupported value.
 //   BackfillDepth      = <int>
 //   EnforceWallTime    = yes | no
 //   AllocdParameters   = comma list configuring the allocator daemon

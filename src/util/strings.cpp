@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <limits>
 
 #include "util/assert.hpp"
 
@@ -52,6 +53,22 @@ std::optional<long long> parse_int(std::string_view s) {
   s = trim(s);
   if (s.empty()) return std::nullopt;
   long long v = 0;
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc{} || ptr != s.data() + s.size()) return std::nullopt;
+  return v;
+}
+
+std::optional<int> parse_int_at_least(std::string_view s, int min) {
+  const auto v = parse_int(s);
+  if (!v || *v < min || *v > std::numeric_limits<int>::max())
+    return std::nullopt;
+  return static_cast<int>(*v);
+}
+
+std::optional<std::uint64_t> parse_uint64(std::string_view s) {
+  s = trim(s);
+  if (s.empty()) return std::nullopt;
+  std::uint64_t v = 0;
   const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
   if (ec != std::errc{} || ptr != s.data() + s.size()) return std::nullopt;
   return v;

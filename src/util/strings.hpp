@@ -8,6 +8,7 @@
 // optionally zero-padded indices), which covers the files SLURM itself emits.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -33,8 +34,17 @@ std::vector<std::string> split_ws(std::string_view s);
 
 bool starts_with(std::string_view s, std::string_view prefix);
 
-/// Parse a non-negative integer; std::nullopt on malformed input.
+/// Parse an integer, a leading minus allowed; std::nullopt on malformed
+/// input or a value outside long long.
 std::optional<long long> parse_int(std::string_view s);
+
+/// Parse an int in [min, INT_MAX]; std::nullopt on malformed input or a
+/// value out of that range (rather than one that wraps when narrowed).
+std::optional<int> parse_int_at_least(std::string_view s, int min);
+
+/// Parse an unsigned 64-bit integer, all 64 bits of it; std::nullopt on
+/// malformed input, a sign or a value above UINT64_MAX.
+std::optional<std::uint64_t> parse_uint64(std::string_view s);
 
 /// Parse a floating-point value; std::nullopt on malformed input.
 std::optional<double> parse_double(std::string_view s);

@@ -379,8 +379,9 @@ TEST(AdaptiveAllocatorTest, NulloptWhenNothingFits) {
 // Allocator::last_priced() over every registered policy: after each
 // successful select it is null, or exactly a fresh candidate_costs of the
 // returned nodes and the cache's profile for them. Adaptive hands a price on
-// whenever both of its candidates exist; sa for every communication request
-// and never for a compute one.
+// whenever both of its candidates exist; sa for every communication request,
+// io_aware for every one with comm_fraction > 0, and neither for a compute
+// one.
 TEST(AllocatorContractTest, LastPricedIsNullOrAFreshWalk) {
   // 8 x 4, peppered so that a 12-node job spans leaves, greedy and balanced
   // disagree and sa's anneal finds a cheaper placement than its seed.
@@ -423,6 +424,10 @@ TEST(AllocatorContractTest, LastPricedIsNullOrAFreshWalk) {
           if (kind == AllocatorKind::kAdaptive) {
             EXPECT_EQ(priced != nullptr, both_candidates);
             if (priced != nullptr) ++adaptive_priced;
+          }
+          if (kind == AllocatorKind::kIoAware) {
+            ASSERT_GT(request.comm_fraction, 0.0);
+            EXPECT_EQ(priced != nullptr, comm);
           }
           if (kind == AllocatorKind::kSa) {
             EXPECT_EQ(priced != nullptr, comm);

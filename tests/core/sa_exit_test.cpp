@@ -10,7 +10,6 @@
 // anneals (verify_stride 1) and checks each claimed cost.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -21,11 +20,9 @@
 #include "core/degradation_model.hpp"
 #include "core/sa_allocator.hpp"
 #include "sched/simulator.hpp"
+#include "support/sa_fuzz.hpp"
 #include "support/sa_reference.hpp"
 #include "topology/builders.hpp"
-#include "util/rng.hpp"
-#include "workload/mixes.hpp"
-#include "workload/synthetic.hpp"
 
 namespace commsched {
 namespace {
@@ -34,45 +31,8 @@ constexpr Pattern kPatterns[] = {
     Pattern::kRecursiveDoubling, Pattern::kRecursiveHalvingVD,
     Pattern::kBinomial, Pattern::kRing, Pattern::kPairwiseAlltoall};
 
-// Background jobs fill each leaf to a random level: some leaves stay
-// empty, some fill up, the rest are peppered. Candidate-leaf counts then
-// vary from request to request.
-ClusterState fuzz_state(const Tree& tree, std::uint64_t seed) {
-  ClusterState state(tree);
-  Rng rng(seed);
-  JobId job = 1;
-  for (const SwitchId leaf : tree.leaves()) {
-    const double fill = rng.bernoulli(0.25)   ? 0.0
-                        : rng.bernoulli(0.2) ? 1.0
-                                             : rng.uniform_real(0.1, 0.9);
-    std::vector<NodeId> taken;
-    for (const NodeId n : tree.nodes_of_leaf(leaf))
-      if (rng.bernoulli(fill)) taken.push_back(n);
-    if (!taken.empty()) state.allocate(job++, rng.bernoulli(0.6), taken);
-  }
-  return state;
-}
-
-int max_leaf_free(const ClusterState& state) {
-  int most = 0;
-  for (const SwitchId leaf : state.tree().leaves())
-    most = std::max(most, state.leaf_free(leaf));
-  return most;
-}
-
-// Request sizes that fit in one leaf and sizes that must span several.
-std::vector<int> request_sizes(const ClusterState& state, int multi_cap) {
-  const int one_leaf = max_leaf_free(state);
-  std::vector<int> sizes;
-  for (const int n : {2, one_leaf / 2, one_leaf})
-    if (n >= 2) sizes.push_back(n);
-  const int total = std::min(state.total_free(), multi_cap);
-  for (const int n : {one_leaf + 1, (one_leaf + 1 + total) / 2})
-    if (n > one_leaf && n <= total) sizes.push_back(n);
-  std::sort(sizes.begin(), sizes.end());
-  sizes.erase(std::unique(sizes.begin(), sizes.end()), sizes.end());
-  return sizes;
-}
+// The default anneal seed and a second one: two move streams per request.
+constexpr std::uint64_t kSaSeeds[] = {SaOptions{}.seed, 7};
 
 struct ExitCounts {
   int one_slot = 0;         // priced one-slot anneals
@@ -121,8 +81,8 @@ void sweep_tree(const Tree& tree, const std::vector<std::uint64_t>& seeds,
   const auto cache = std::make_shared<CommCache>(double{1 << 20});
   JobId job = 5000;
   for (const std::uint64_t seed : seeds) {
-    const ClusterState state = fuzz_state(tree, seed);
-    for (const int n : request_sizes(state, multi_cap)) {
+    const ClusterState state = sa_fuzz_state(tree, seed);
+    for (const int n : sa_request_sizes(state, multi_cap)) {
       for (const Pattern pattern : kPatterns) {
         AllocationRequest request;
         request.job = job++;
@@ -131,18 +91,17 @@ void sweep_tree(const Tree& tree, const std::vector<std::uint64_t>& seeds,
         request.pattern = pattern;
         for (const bool hop_bytes : {false, true}) {
           const CostOptions cost_options{.hop_bytes = hop_bytes};
-          for (const SaProposalKind proposal :
-               {SaProposalKind::kUniform, SaProposalKind::kLocality}) {
+          for (const std::uint64_t sa_seed : kSaSeeds) {
             for (const int stride : {0, 1}) {
               SaOptions options;
-              options.proposal = proposal;
+              options.seed = sa_seed;
               options.verify_stride = stride;
               const SaAllocator sa(cost_options, options);
               SCOPED_TRACE("seed " + std::to_string(seed) + " nodes " +
                            std::to_string(n) + " " + pattern_name(pattern) +
-                           (hop_bytes ? " hop-bytes " : " hops ") +
-                           sa_proposal_kind_name(proposal) + " stride " +
-                           std::to_string(stride));
+                           (hop_bytes ? " hop-bytes" : " hops") +
+                           " sa seed " + std::to_string(sa_seed) +
+                           " stride " + std::to_string(stride));
               compare(sa, state, request, cost_options, options, cache,
                       counts);
             }
@@ -181,40 +140,21 @@ TEST(SaExitTest, ThetaTreeMatchesTheReferenceWalk) {
   expect_coverage(counts);
 }
 
-// Theta-shaped logs scaled onto an 8 x 16 tree, with requests of 2 to 64
-// nodes (many fit one leaf, the rest span several) and every pattern in the
-// mix.
-JobLog fuzz_log(const Tree& tree, int n_jobs, std::uint64_t seed) {
-  LogProfile profile = scale_profile(theta_profile(), tree.node_count());
-  profile.min_exp = 1;
-  profile.max_exp = 6;
-  JobLog log = generate_log(profile, n_jobs, seed);
-  MixSpec spec = uniform_mix(Pattern::kRecursiveDoubling, 0.8);
-  spec.patterns = {{Pattern::kRecursiveDoubling, 1.0},
-                   {Pattern::kRecursiveHalvingVD, 1.0},
-                   {Pattern::kBinomial, 1.0},
-                   {Pattern::kRing, 1.0},
-                   {Pattern::kPairwiseAlltoall, 1.0}};
-  apply_mix(log, spec, seed ^ 0x9E3779B97F4A7C15ull);
-  return log;
-}
-
 TEST(SaExitTest, SimulatorStartsMatchTheReferenceWalk) {
   // The audit level is left to COMMSCHED_AUDIT: at full, every accept of
   // the shortened anneals is re-priced and every claimed cost re-checked.
   const Tree tree = make_two_level_tree(8, 16);
   int one_slot_starts = 0;
   for (const std::uint64_t seed : {7ull, 19ull}) {
-    const JobLog log = fuzz_log(tree, 100, seed);
-    for (const SaProposalKind proposal :
-         {SaProposalKind::kUniform, SaProposalKind::kLocality}) {
-      SCOPED_TRACE("seed " + std::to_string(seed) + " " +
-                   sa_proposal_kind_name(proposal));
+    const JobLog log = sa_fuzz_log(tree, 100, seed);
+    for (const std::uint64_t sa_seed : kSaSeeds) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " sa seed " +
+                   std::to_string(sa_seed));
       std::vector<TraceEvent> trace;
       SchedOptions options;
       options.allocator = AllocatorKind::kSa;
       options.sa.budget = 400;
-      options.sa.proposal = proposal;
+      options.sa.seed = sa_seed;
       options.trace = [&trace](const TraceEvent& e) { trace.push_back(e); };
       const SimResult sim = run_continuous(tree, log, options);
       ASSERT_EQ(sim.jobs.size(), log.size());

@@ -206,22 +206,20 @@ TEST(EngineDiffTest, BackfillWindowAcrossRankWords) {
 // The search-based allocator (DESIGN.md "Delta-cost evaluation & search
 // allocators") under both engines: the anneal runs per select_into and must
 // be a pure function of (options, state, request), so the fast engine's
-// reordered bookkeeping cannot perturb a single placement. Exercised across
-// proposal policies and with the in-anneal delta-vs-full verification on.
+// reordered bookkeeping cannot perturb a single placement. Exercised at two
+// anneal seeds and with the in-anneal delta-vs-full verification on.
 TEST(EngineDiffTest, SimulatedAnnealingAllocator) {
   const Tree tree = make_two_level_tree(4, 8);
   const Tree wide = make_two_level_tree(8, 16);
   int priced_apart = 0;  // on the 8 x 16 leg, see FuzzedLogsAcrossAllocators
   for (const std::uint64_t seed : {13ull, 29ull}) {
-    for (const SaProposalKind proposal :
-         {SaProposalKind::kUniform, SaProposalKind::kLocality}) {
+    for (const std::uint64_t sa_seed : {SaOptions{}.seed, std::uint64_t{7}}) {
       SchedOptions options;
       options.allocator = AllocatorKind::kSa;
       options.sa.budget = 300;  // keep the diff test fast; plenty of accepts
-      options.sa.proposal = proposal;
+      options.sa.seed = sa_seed;
       const std::string label = "seed " + std::to_string(seed) +
-                                " proposal " +
-                                sa_proposal_kind_name(proposal);
+                                " sa seed " + std::to_string(sa_seed);
       run_both_and_compare(tree, fuzz_log(tree, 140, seed), options, label);
       priced_apart += run_both_and_compare(wide, fuzz_log(wide, 140, seed),
                                            options, "8x16 " + label);

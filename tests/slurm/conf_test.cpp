@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <sstream>
 
 #include "util/strings.hpp"
@@ -88,14 +90,13 @@ TEST(SlurmConfTest, SelectTypeParametersConfigureTheSaAllocator) {
   const SlurmConf conf = parse(
       "JobAware=sa\n"
       "SelectTypeParameters=sa_budget=5000, sa_seed=7, sa_t0=0.25,"
-      "sa_cooling=0.9,sa_patience=100,sa_proposal=uniform,sa_verify=16\n");
+      "sa_cooling=0.9,sa_patience=100,sa_verify=16\n");
   EXPECT_EQ(conf.sched.allocator, AllocatorKind::kSa);
   EXPECT_EQ(conf.sched.sa.budget, 5000);
   EXPECT_EQ(conf.sched.sa.seed, 7u);
   EXPECT_EQ(conf.sched.sa.init_temp_frac, 0.25);
   EXPECT_EQ(conf.sched.sa.cooling, 0.9);
   EXPECT_EQ(conf.sched.sa.patience, 100);
-  EXPECT_EQ(conf.sched.sa.proposal, SaProposalKind::kUniform);
   EXPECT_EQ(conf.sched.sa.verify_stride, 16);
 
   // The bare `sa` token alone selects the policy (knobs stay default).
@@ -111,16 +112,48 @@ TEST(SlurmConfTest, SelectTypeParametersRejections) {
   EXPECT_THROW(parse("SelectTypeParameters=sa_cooling=1.5\n"), ParseError);
   EXPECT_THROW(parse("SelectTypeParameters=sa_t0=-0.1\n"), ParseError);
   EXPECT_THROW(parse("SelectTypeParameters=sa_patience=-1\n"), ParseError);
-  EXPECT_THROW(parse("SelectTypeParameters=sa_proposal=anneal\n"),
-               ParseError);
   EXPECT_THROW(parse("SelectTypeParameters=sa_verify=-2\n"), ParseError);
   // Unknown-token errors teach the valid vocabulary.
   try {
     parse("SelectTypeParameters=cr_core\n");
     FAIL() << "unknown token must throw";
   } catch (const ParseError& e) {
-    EXPECT_NE(std::string(e.what()).find("sa_proposal=uniform|locality"),
+    const std::string what = e.what();
+    EXPECT_NE(what.find("unknown SelectTypeParameters token"),
               std::string::npos);
+    EXPECT_NE(what.find("sa_budget=<int>"), std::string::npos) << what;
+  }
+}
+
+TEST(SlurmConfTest, IntegerValuesThatWouldWrapAreRejected) {
+  // 2^32 + 1 narrows to 1 and 2^31 to INT_MIN; neither may parse.
+  for (const char* line :
+       {"SelectTypeParameters=sa_budget=4294967297\n",
+        "SelectTypeParameters=sa_budget=-2147483649\n",
+        "SelectTypeParameters=sa_patience=4294967297\n",
+        "SelectTypeParameters=sa_verify=2147483648\n",
+        "AllocdParameters=queue=4294967297\n",
+        "AllocdParameters=deadline_ms=4294967296\n",
+        "AllocdParameters=idle_ms=2147483648\n",
+        "AllocdParameters=write_ms=4294967297\n",
+        "BackfillDepth=4294967297\n"}) {
+    EXPECT_THROW(parse(line), ParseError) << line;
+  }
+  // INT_MAX itself still fits.
+  EXPECT_EQ(parse("BackfillDepth=2147483647\n").sched.backfill_depth,
+            2147483647);
+  // The seed is 64 unsigned bits: no sign, nothing past UINT64_MAX.
+  EXPECT_THROW(parse("SelectTypeParameters=sa_seed=-1\n"), ParseError);
+  EXPECT_THROW(parse("SelectTypeParameters=sa_seed=18446744073709551616\n"),
+               ParseError);
+}
+
+TEST(SlurmConfTest, SaSeedRoundTripsOverAll64Bits) {
+  for (const std::uint64_t seed :
+       {std::uint64_t{1} << 63, std::numeric_limits<std::uint64_t>::max()}) {
+    SlurmConf conf;
+    conf.sched.sa.seed = seed;
+    EXPECT_EQ(parse(write_slurm_conf(conf)).sched.sa.seed, seed);
   }
 }
 
@@ -144,7 +177,6 @@ TEST(SlurmConfTest, SaKnobsRoundTripThroughWrite) {
   conf.sched.sa.init_temp_frac = 0.125;
   conf.sched.sa.cooling = 0.875;
   conf.sched.sa.patience = 33;
-  conf.sched.sa.proposal = SaProposalKind::kUniform;
   conf.sched.sa.verify_stride = 8;
   const SlurmConf parsed = parse(write_slurm_conf(conf));
   EXPECT_EQ(parsed.sched.allocator, AllocatorKind::kSa);
@@ -153,7 +185,6 @@ TEST(SlurmConfTest, SaKnobsRoundTripThroughWrite) {
   EXPECT_EQ(parsed.sched.sa.init_temp_frac, conf.sched.sa.init_temp_frac);
   EXPECT_EQ(parsed.sched.sa.cooling, conf.sched.sa.cooling);
   EXPECT_EQ(parsed.sched.sa.patience, conf.sched.sa.patience);
-  EXPECT_EQ(parsed.sched.sa.proposal, conf.sched.sa.proposal);
   EXPECT_EQ(parsed.sched.sa.verify_stride, conf.sched.sa.verify_stride);
 
   // Defaults stay silent: a default-constructed conf emits no

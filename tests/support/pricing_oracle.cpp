@@ -5,6 +5,7 @@
 
 #include "cluster/state.hpp"
 #include "collectives/comm_cache.hpp"
+#include "core/adaptive_allocator.hpp"
 #include "core/allocator_factory.hpp"
 #include "core/cost_model.hpp"
 #include "core/default_allocator.hpp"
@@ -33,6 +34,13 @@ OracleReplay replay_start_pricing(const Tree& tree, const JobLog& log,
       make_allocator(options.allocator, options.cost_options, cache,
                      options.sa);
   const DefaultAllocator default_allocator;
+  // sa's seed policy, pricing through a cache of its own (so the oracle's
+  // traffic stays what the run's would be) at the same base message size.
+  const AdaptiveAllocator adaptive(
+      options.cost_options,
+      std::make_shared<CommCache>(log.empty() ? double{1 << 20}
+                                              : log.front().msize));
+  const bool is_sa = options.allocator == AllocatorKind::kSa;
   const CostModel metric(tree,
                          CostOptions{.hop_bytes = false,
                                      .include_candidate =
@@ -70,6 +78,8 @@ OracleReplay replay_start_pricing(const Tree& tree, const JobLog& log,
                          "replayed start found no placement");
     const bool price_comm = job.comm_intensive && job.num_nodes >= 2;
     const bool price_io = job.io_intensive && job.io_fraction > 0.0;
+    if (is_sa && price_comm && *nodes != adaptive.select(state, request))
+      ++replay.sa_moved;
     std::vector<NodeId> default_nodes;
     if (!is_default && (price_comm || price_io))
       default_nodes = *default_allocator.select(state, request);

@@ -35,6 +35,9 @@ struct OracleStart {
 struct OracleReplay {
   std::vector<OracleStart> starts;  ///< indexed like the log
   CacheStats cache;  ///< the oracle's own profile traffic, selects included
+  /// sa runs: Eq. 6-priced starts whose pick differs from adaptive's on the
+  /// same state, i.e. whose anneal ended cheaper than its seed.
+  int sa_moved = 0;
 };
 
 /// Replay `trace` (every event the run emitted, in order) of

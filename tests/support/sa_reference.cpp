@@ -6,7 +6,6 @@
 #include <span>
 
 #include "core/adaptive_allocator.hpp"
-#include "core/proposal_policy.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -69,12 +68,6 @@ std::vector<NodeId> materialize(const ClusterState& state,
   return out;
 }
 
-std::unique_ptr<ProposalPolicy> make_policy(SaProposalKind kind) {
-  if (kind == SaProposalKind::kUniform)
-    return std::make_unique<UniformProposalPolicy>();
-  return std::make_unique<LocalityProposalPolicy>();
-}
-
 }  // namespace
 
 ReferenceSaPick reference_sa_select(const ClusterState& state,
@@ -118,10 +111,8 @@ ReferenceSaPick reference_sa_select(const ClusterState& state,
   for (const SwitchId leaf : tree.leaves())
     if (state.leaf_free(leaf) >= min_nodes) cand.push_back(leaf);
   pick.candidate_leaves = static_cast<int>(cand.size());
+  COMMSCHED_ASSERT_GE(pick.candidate_leaves, 1);
 
-  const std::unique_ptr<ProposalPolicy> policy = make_policy(options.proposal);
-  const SaMoveContext ctx{&state, &tree, cur, nnodes, cand};
-  policy->begin(ctx);
   Rng rng(splitmix64(options.seed ^
                      splitmix64(static_cast<std::uint64_t>(request.job))));
   double current = begin;
@@ -131,7 +122,7 @@ ReferenceSaPick reference_sa_select(const ClusterState& state,
   MoveProposal prop;
   for (int it = 0; it < options.budget; ++it) {
     if (options.patience > 0 && since_best >= options.patience) break;
-    if (!policy->propose(ctx, rng, prop)) break;
+    propose_move(tree, cur, cand, rng, prop);
     ++pick.proposals;
     bool new_best = false;
     if (feasible(state, cur, nnodes, prop)) {
@@ -149,7 +140,6 @@ ReferenceSaPick reference_sa_select(const ClusterState& state,
               prop.moves[m].leaf;
         current = priced;
         ++pick.accepts;
-        policy->on_accept(ctx, prop);
         if (priced < best) {
           best = priced;
           best_leaf = cur;

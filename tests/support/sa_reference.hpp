@@ -3,11 +3,11 @@
 //
 // SaAllocator ends a one-slot anneal once every leaf that can hold the job
 // has been priced. This reference walks the long way instead, until the
-// budget, the patience or the proposal policy runs out, and it does so
-// through public APIs only: the seed from AdaptiveAllocator, the moves
-// priced through CostModel's delta session, a fresh built-in
-// ProposalPolicy, and the same per-job Rng stream. Its best placement is
-// rebuilt from the seed's ShapeKey runs. The allocator's placement and the
+// budget or the patience runs out, and it does so through public APIs
+// only: the seed from AdaptiveAllocator, the moves drawn by propose_move
+// from the same per-job Rng stream, its own feasibility check, and the
+// prices from CostModel's delta session. Its best placement is rebuilt from
+// the seed's ShapeKey runs. The allocator's placement and the
 // sum its CostOptions select of the price it hands on (last_priced()) must
 // equal the reference's bit for bit; its proposal and accept counts may be
 // lower, and only for one-slot anneals.
@@ -37,7 +37,7 @@ struct ReferenceSaPick {
 };
 
 /// Select like SaAllocator(cost_options, options, cache) would, with the
-/// anneal run to its budget, patience or policy end. Pass the cache the
+/// anneal run to its budget or patience. Pass the cache the
 /// allocator prices through, or one with the same base message size.
 ReferenceSaPick reference_sa_select(const ClusterState& state,
                                     const AllocationRequest& request,

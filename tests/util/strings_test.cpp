@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <clocale>
+#include <cstdint>
 #include <string>
 
 namespace commsched {
@@ -36,6 +37,27 @@ TEST(ParseIntTest, ParsesAndRejects) {
   EXPECT_FALSE(parse_int("4x").has_value());
   EXPECT_FALSE(parse_int("").has_value());
   EXPECT_FALSE(parse_int("1.5").has_value());
+}
+
+TEST(ParseIntTest, BoundedIntRejectsWhatWouldWrap) {
+  EXPECT_EQ(parse_int_at_least(" 5 ", 1), 5);
+  EXPECT_EQ(parse_int_at_least("2147483647", 0), 2147483647);
+  EXPECT_EQ(parse_int_at_least("-2147483648", -2147483647 - 1),
+            -2147483647 - 1);
+  EXPECT_FALSE(parse_int_at_least("0", 1).has_value());
+  EXPECT_FALSE(parse_int_at_least("2147483648", 0).has_value());
+  EXPECT_FALSE(parse_int_at_least("4294967297", 0).has_value());
+  EXPECT_FALSE(parse_int_at_least("-2147483649", -2147483647 - 1).has_value());
+  EXPECT_FALSE(parse_int_at_least("lots", 0).has_value());
+}
+
+TEST(ParseIntTest, Uint64TakesAll64BitsAndNoSign) {
+  EXPECT_EQ(parse_uint64("9223372036854775808"), std::uint64_t{1} << 63);
+  EXPECT_EQ(parse_uint64(" 18446744073709551615 "), ~std::uint64_t{0});
+  EXPECT_FALSE(parse_uint64("18446744073709551616").has_value());
+  EXPECT_FALSE(parse_uint64("-1").has_value());
+  EXPECT_FALSE(parse_uint64("+1").has_value());
+  EXPECT_FALSE(parse_uint64("").has_value());
 }
 
 TEST(ParseDoubleTest, ParsesAndRejects) {

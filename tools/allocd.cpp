@@ -59,20 +59,20 @@ int run(int argc, char** argv) {
     } else if (arg == "--conf" && (value = next()) != nullptr) {
       conf_path = value;
     } else if (arg == "--leaves" && (value = next()) != nullptr) {
-      const auto v = commsched::parse_int(value);
-      if (!v || *v < 1) return usage();
-      leaves = static_cast<int>(*v);
+      const auto v = commsched::parse_int_at_least(value, 1);
+      if (!v) return usage();
+      leaves = *v;
     } else if (arg == "--nodes-per-leaf" && (value = next()) != nullptr) {
-      const auto v = commsched::parse_int(value);
-      if (!v || *v < 1) return usage();
-      nodes_per_leaf = static_cast<int>(*v);
+      const auto v = commsched::parse_int_at_least(value, 1);
+      if (!v) return usage();
+      nodes_per_leaf = *v;
     } else if (arg == "--threads" && (value = next()) != nullptr) {
       const auto v = commsched::parse_int(value);
       if (!v || *v < 0) return usage();  // checked, then ignored
     } else if (arg == "--queue" && (value = next()) != nullptr) {
-      const auto v = commsched::parse_int(value);
-      if (!v || *v < 1) return usage();
-      queue_depth = static_cast<int>(*v);
+      const auto v = commsched::parse_int_at_least(value, 1);
+      if (!v) return usage();
+      queue_depth = *v;
     } else {
       return usage();
     }
