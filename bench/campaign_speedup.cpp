@@ -1,5 +1,5 @@
 // Campaign-engine scaling check: the Figure 6 grid (machines × experiment
-// sets × policies) executed by the src/exp worker pool at 1 worker and at
+// sets × policies) executed by the src/exp campaign engine at 1 worker and at
 // N workers (COMMSCHED_BENCH_THREADS, default 8), timing both and checking
 // that the long-form per-cell CSV is bit-identical — the determinism
 // contract the parity tests enforce, demonstrated at full grid size.

@@ -6,7 +6,7 @@
 //
 // Individual runs evaluate all four policies inside run_individual, so the
 // parallel axis here is the (machine, pattern) combination: the six combos
-// run concurrently through run_indexed (util/thread_pool.hpp) and the rows
+// run concurrently through run_indexed (util/parallel.hpp) and the rows
 // are reduced in combo order, exactly like campaign cells.
 //
 // Shape target: every proposed policy is >= default on average, with
@@ -21,8 +21,8 @@
 #include "exp/emit.hpp"
 #include "metrics/summary.hpp"
 #include "sched/individual.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 using namespace commsched;

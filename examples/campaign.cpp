@@ -1,5 +1,5 @@
 // Campaign engine walkthrough: declare a grid of continuous-run
-// experiments, execute it on the worker pool, and pull numbers out of the
+// experiments, execute its cells in parallel, and pull numbers out of the
 // result — the same API every bench/ harness is built on.
 //
 // A campaign is (machines × mixes × allocators × seeds × option variants);

@@ -6,6 +6,7 @@
 //
 //   $ ./contention_study [period_s] [horizon_s]
 #include <algorithm>
+#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -17,10 +18,25 @@
 
 using namespace commsched;
 
+namespace {
+
+double seconds_arg(const char* name, const char* value) {
+  const auto v = parse_double(value);
+  if (!v || !(*v > 0.0)) {
+    std::cerr << "error: " << name << " must be a positive number of "
+              << "seconds, got '" << value << "'\n"
+              << "usage: contention_study [period_s] [horizon_s]\n";
+    std::exit(2);
+  }
+  return *v;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   double period = 60.0, horizon = 600.0;
-  if (argc > 1) period = *parse_double(argv[1]);
-  if (argc > 2) horizon = *parse_double(argv[2]);
+  if (argc > 1) period = seconds_arg("period_s", argv[1]);
+  if (argc > 2) horizon = seconds_arg("horizon_s", argv[2]);
 
   const Tree tree = make_department_cluster();
   const FlowNetwork net(tree, LinkConfig{});

@@ -36,6 +36,19 @@ namespace {
   std::exit(2);
 }
 
+int count_arg(const std::string& flag, const std::string& value) {
+  const auto v = parse_int_at_least(value, 1);
+  if (!v) usage(flag + " needs a positive integer, got '" + value + "'");
+  return *v;
+}
+
+double fraction_arg(const std::string& flag, const std::string& value) {
+  const auto v = parse_double(value);
+  if (!v || !(*v >= 0.0 && *v <= 1.0))
+    usage(flag + " needs a fraction in [0, 1], got '" + value + "'");
+  return *v;
+}
+
 Pattern parse_pattern(const std::string& s) {
   if (s == "RD") return Pattern::kRecursiveDoubling;
   if (s == "RHVD") return Pattern::kRecursiveHalvingVD;
@@ -64,15 +77,19 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--machine") machine = next();
-    else if (arg == "--jobs") jobs = static_cast<int>(*parse_int(next()));
+    else if (arg == "--jobs") jobs = count_arg(arg, next());
     else if (arg == "--pattern") pattern = parse_pattern(next());
-    else if (arg == "--comm-percent") comm_percent = *parse_double(next());
-    else if (arg == "--comm-fraction") comm_fraction = *parse_double(next());
+    else if (arg == "--comm-percent") comm_percent = fraction_arg(arg, next());
+    else if (arg == "--comm-fraction")
+      comm_fraction = fraction_arg(arg, next());
     else if (arg == "--swf") swf_path = next();
-    else if (arg == "--cores-per-node")
-      cores_per_node = static_cast<int>(*parse_int(next()));
-    else if (arg == "--seed") seed = static_cast<std::uint64_t>(*parse_int(next()));
-    else usage("unknown argument '" + arg + "'");
+    else if (arg == "--cores-per-node") cores_per_node = count_arg(arg, next());
+    else if (arg == "--seed") {
+      const std::string value = next();
+      const auto v = parse_uint64(value);
+      if (!v) usage("--seed needs an unsigned integer, got '" + value + "'");
+      seed = *v;
+    } else usage("unknown argument '" + arg + "'");
   }
 
   const Tree tree = make_machine(machine);

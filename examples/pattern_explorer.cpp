@@ -21,14 +21,20 @@ using namespace commsched;
 
 namespace {
 
+[[noreturn]] void usage(const std::string& error) {
+  std::cerr << "error: " << error << "\n"
+            << "usage: pattern_explorer [nprocs] "
+               "[RD|RHVD|Binomial|Ring|Alltoall]\n";
+  std::exit(2);
+}
+
 Pattern parse_pattern(const std::string& s) {
   if (s == "RD") return Pattern::kRecursiveDoubling;
   if (s == "RHVD") return Pattern::kRecursiveHalvingVD;
   if (s == "Binomial") return Pattern::kBinomial;
   if (s == "Ring") return Pattern::kRing;
   if (s == "Alltoall") return Pattern::kPairwiseAlltoall;
-  std::cerr << "unknown pattern '" << s << "' (use RD|RHVD|Binomial|Ring|Alltoall)\n";
-  std::exit(2);
+  usage("unknown pattern '" + s + "'");
 }
 
 }  // namespace
@@ -36,16 +42,16 @@ Pattern parse_pattern(const std::string& s) {
 int main(int argc, char** argv) {
   int nprocs = 8;
   Pattern pattern = Pattern::kRecursiveDoubling;
-  if (argc > 1) nprocs = static_cast<int>(*parse_int(argv[1]));
+  if (argc > 1) {
+    const auto v = parse_int_at_least(argv[1], 2);
+    if (!v || *v > 4096)
+      usage(std::string("nprocs must be an integer in [2, 4096], got '") +
+            argv[1] + "'");
+    nprocs = *v;
+  }
   if (argc > 2) pattern = parse_pattern(argv[2]);
-  if (nprocs < 2 || nprocs > 4096) {
-    std::cerr << "nprocs must be in [2, 4096]\n";
-    return 2;
-  }
-  if (pattern == Pattern::kPairwiseAlltoall && nprocs > 1024) {
-    std::cerr << "Alltoall schedules are capped at 1024 ranks\n";
-    return 2;
-  }
+  if (pattern == Pattern::kPairwiseAlltoall && nprocs > 1024)
+    usage("Alltoall schedules are capped at 1024 ranks");
 
   const double base = 1 << 20;
   const CommSchedule schedule = make_schedule(pattern, nprocs, base);

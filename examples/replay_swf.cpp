@@ -34,6 +34,12 @@ namespace {
   std::exit(2);
 }
 
+int count_arg(const std::string& flag, const std::string& value) {
+  const auto v = parse_int_at_least(value, 1);
+  if (!v) usage(flag + " needs a positive integer, got '" + value + "'");
+  return *v;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -49,9 +55,9 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--cores-per-node")
-      swf_options.cores_per_node = static_cast<int>(*parse_int(next()));
+      swf_options.cores_per_node = count_arg(arg, next());
     else if (arg == "--max-jobs")
-      swf_options.max_jobs = static_cast<std::size_t>(*parse_int(next()));
+      swf_options.max_jobs = static_cast<std::size_t>(count_arg(arg, next()));
     else if (arg == "--allocator") {
       const auto kind = allocator_kind_from_string(next());
       if (!kind) usage("unknown allocator");

@@ -6,6 +6,7 @@
 //
 //   $ ./utilization_report [--machine theta] [--jobs N] [--buckets B]
 #include <algorithm>
+#include <cstdlib>
 #include <iostream>
 #include <string>
 
@@ -20,6 +21,19 @@
 using namespace commsched;
 
 namespace {
+
+[[noreturn]] void usage(const std::string& error) {
+  std::cerr << "error: " << error << "\n"
+            << "usage: utilization_report [--machine theta|intrepid|mira] "
+               "[--jobs N] [--buckets B]\n";
+  std::exit(2);
+}
+
+int count_arg(const std::string& flag, const std::string& value) {
+  const auto v = parse_int_at_least(value, 1);
+  if (!v) usage(flag + " needs a positive integer, got '" + value + "'");
+  return *v;
+}
 
 void print_timeline(const std::string& label, const SimResult& result,
                     int machine_nodes, int buckets) {
@@ -45,8 +59,8 @@ int main(int argc, char** argv) {
   for (int i = 1; i + 1 < argc; i += 2) {
     const std::string arg = argv[i];
     if (arg == "--machine") machine = argv[i + 1];
-    else if (arg == "--jobs") jobs = static_cast<int>(*parse_int(argv[i + 1]));
-    else if (arg == "--buckets") buckets = static_cast<int>(*parse_int(argv[i + 1]));
+    else if (arg == "--jobs") jobs = count_arg(arg, argv[i + 1]);
+    else if (arg == "--buckets") buckets = count_arg(arg, argv[i + 1]);
   }
 
   const Tree tree = make_machine(machine);

@@ -25,7 +25,6 @@ bool AdaptiveAllocator::select_into(const ClusterState& state,
     return false;
   }
   if (!have_greedy || !have_balanced) {
-    last_chose_balanced_ = !have_greedy;
     out = have_greedy ? greedy_pick_ : balanced_pick_;
     return true;
   }
@@ -51,7 +50,6 @@ bool AdaptiveAllocator::select_into(const ClusterState& state,
     if (!choose_balanced) last_priced_ = greedy;
   }
 
-  last_chose_balanced_ = choose_balanced;
   out = choose_balanced ? balanced_pick_ : greedy_pick_;
   return true;
 }

@@ -43,8 +43,6 @@ class AdaptiveAllocator final : public Allocator {
   const PricedPlacement* last_priced() const noexcept override {
     return last_priced_.profile != nullptr ? &last_priced_ : nullptr;
   }
-  /// Whether balanced won the last successful select().
-  bool last_chose_balanced() const noexcept { return last_chose_balanced_; }
 
  private:
   GreedyAllocator greedy_;
@@ -55,10 +53,8 @@ class AdaptiveAllocator final : public Allocator {
   // observable state is untouched (CostModel itself is stateless).
   mutable CostWorkspace workspace_;
   // workspace: post-hoc record of the last select(), written once per
-  // call and only read back through the accessors above.
+  // call and only read back through last_priced().
   mutable PricedPlacement last_priced_;
-  // workspace: see last_priced_.
-  mutable bool last_chose_balanced_ = false;
   // workspace: candidate buffers reused across const select_into() calls;
   // overwritten by the nested policies on entry, never observable.
   mutable std::vector<NodeId> greedy_pick_;

@@ -1,13 +1,8 @@
 #include "core/runtime_model.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <optional>
-#include <string>
-#include <string_view>
 
 #include "util/assert.hpp"
-#include "util/strings.hpp"
 
 namespace commsched {
 
@@ -28,26 +23,6 @@ double modified_runtime(double runtime, double comm_fraction,
   const double t_comm = runtime * comm_fraction;
   const double t_compute = runtime - t_comm;
   return t_compute + t_comm * ratio;
-}
-
-RuntimeModelOptions runtime_options_from_env(RuntimeModelOptions base) {
-  const char* raw = std::getenv("COMMSCHED_RUNTIME_CLAMP");
-  if (raw == nullptr || *raw == '\0') return base;
-  const std::string_view spec(raw);
-  const auto colon = spec.find(':');
-  std::optional<double> lo, hi;
-  if (colon == std::string_view::npos) {
-    lo = base.min_ratio;
-    hi = parse_double(spec);
-  } else {
-    lo = parse_double(spec.substr(0, colon));
-    hi = parse_double(spec.substr(colon + 1));
-  }
-  if (!lo || !hi || !(*lo > 0.0) || !(*hi >= *lo))
-    throw ParseError("COMMSCHED_RUNTIME_CLAMP='" + std::string(spec) +
-                     "': expected 'min:max' (0 < min <= max) or a single "
-                     "max ratio");
-  return {.min_ratio = *lo, .max_ratio = *hi};
 }
 
 }  // namespace commsched

@@ -29,12 +29,4 @@ double modified_runtime(double runtime, double comm_fraction,
                         double cost_jobaware, double cost_default,
                         const RuntimeModelOptions& options = {});
 
-/// Apply the COMMSCHED_RUNTIME_CLAMP environment override to `base`:
-/// "min:max" (e.g. "0.05:20") replaces both clamps, "max" alone replaces
-/// only the upper one. Unset (or empty) returns `base` unchanged; a
-/// malformed value or an inverted/non-positive range throws ParseError.
-/// The simulator resolves its SchedOptions::runtime_options through this,
-/// mirroring how COMMSCHED_AUDIT backs SchedOptions::audit.
-RuntimeModelOptions runtime_options_from_env(RuntimeModelOptions base = {});
-
 }  // namespace commsched

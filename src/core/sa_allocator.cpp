@@ -69,10 +69,6 @@ SaAllocator::SaAllocator(CostOptions cost_options, SaOptions options,
       cache_(cache ? std::move(cache)
                    : std::make_shared<CommCache>(double{1 << 20})),
       adaptive_(cost_options, cache_) {
-  COMMSCHED_ASSERT_MSG(options_.cooling > 0.0 && options_.cooling <= 1.0,
-                       "sa cooling factor must be in (0, 1]");
-  COMMSCHED_ASSERT_GE(options_.init_temp_frac, 0.0);
-  COMMSCHED_ASSERT_GE(options_.patience, 0);
   COMMSCHED_ASSERT_GE(options_.verify_stride, 0);
 }
 
@@ -175,11 +171,11 @@ void SaAllocator::anneal(const ClusterState& state,
 
   double current = begin_cost;
   double best = begin_cost;
-  double temp = options_.init_temp_frac * begin_cost;
+  double temp = kSaInitTempFrac * begin_cost;
   int since_best = 0;
   MoveProposal prop;
   for (int it = 0; it < options_.budget; ++it) {
-    if (options_.patience > 0 && since_best >= options_.patience) break;
+    if (since_best >= kSaPatience) break;
     if (unpriced == 0) break;
     propose_move(tree, cur_leaf_, cand_leaves_, rng, prop);
     ++last_proposals_;
@@ -229,7 +225,7 @@ void SaAllocator::anneal(const ClusterState& state,
       }
     }
     since_best = new_best ? 0 : since_best + 1;
-    temp *= options_.cooling;
+    temp *= kSaCooling;
   }
 
   // Return the best placement *seen* — never costlier than the seed. Unless

@@ -39,6 +39,14 @@
 
 namespace commsched {
 
+/// The annealing schedule: the initial temperature as a fraction of the
+/// seed placement's cost, the geometric cooling factor applied per
+/// proposal, and the proposals without a new best after which an anneal
+/// stops.
+inline constexpr double kSaInitTempFrac = 0.08;
+inline constexpr double kSaCooling = 0.995;
+inline constexpr int kSaPatience = 250;
+
 /// Annealing knobs (slurm.conf: SelectTypeParameters=sa,sa_budget=...).
 struct SaOptions {
   /// Most proposals per communication-intensive select(), feasible or not.
@@ -49,13 +57,6 @@ struct SaOptions {
   /// Base seed; each job's stream is splitmix64(seed ^ splitmix64(job)), so
   /// per-job randomness is stateless across select() calls.
   std::uint64_t seed = 20200817;  // the paper's submission date
-  /// Initial temperature as a fraction of the seed placement's cost.
-  double init_temp_frac = 0.08;
-  /// Geometric cooling factor applied per proposal.
-  double cooling = 0.995;
-  /// Stop after this many proposals without a new best (0 = run out the
-  /// budget).
-  int patience = 250;
   /// > 0: every Nth accepted move, re-derive the delta-maintained total with
   /// a full candidate_cost and fail loudly on any bitwise divergence. The
   /// simulator and allocd raise an unset stride with the audit level

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <exception>
 #include <filesystem>
 #include <iostream>
 #include <memory>
@@ -13,7 +12,7 @@
 
 #include "exp/sink.hpp"
 #include "util/assert.hpp"
-#include "util/thread_pool.hpp"
+#include "util/parallel.hpp"
 
 namespace commsched::exp {
 
@@ -182,23 +181,7 @@ CampaignResult CampaignRunner::run() {
       mine.push_back(i);
   }
 
-  std::vector<std::size_t> order = mine;
-  if (!spec_.submission_order.empty()) {
-    COMMSCHED_ASSERT_EQ_MSG(spec_.submission_order.size(), total,
-                            "submission_order must permute all cells");
-    std::vector<bool> seen(total, false);
-    for (const std::size_t i : spec_.submission_order) {
-      COMMSCHED_ASSERT_MSG(i < total && !seen[i],
-                           "submission_order is not a permutation");
-      seen[i] = true;
-    }
-    order.clear();
-    for (const std::size_t i : spec_.submission_order)
-      if (is_mine[i]) order.push_back(i);
-  }
-
   std::vector<std::optional<CellResult>> slots(total);
-  std::vector<std::exception_ptr> errors(total);
 
   // Persistence: resume from a matching stream, then append new cells.
   const std::string stream_path = resolve_stream_path(spec_, shard);
@@ -254,43 +237,35 @@ CampaignResult CampaignRunner::run() {
     sink = std::make_unique<CampaignSink>(stream_path, header, fresh);
   }
 
-  std::size_t to_run = 0;
-  for (const std::size_t i : order)
-    if (!slots[i].has_value()) ++to_run;
+  std::vector<std::size_t> runs;  // owned cells not resumed, in cell order
+  for (const std::size_t i : mine)
+    if (!slots[i].has_value()) runs.push_back(i);
 
   const bool quiet = spec_.quiet || quiet_env();
   if (!quiet && (shard.count > 1 || resumed_count > 0)) {
     std::cerr << "[" << spec_.name << "] shard " << shard.index << "/"
               << shard.count << ": " << mine.size() << "/" << total
-              << " cells owned, " << resumed_count << " resumed, " << to_run
-              << " to run\n";
+              << " cells owned, " << resumed_count << " resumed, "
+              << runs.size() << " to run\n";
   }
-  {
-    ThreadPool pool(spec_.threads);
-    std::atomic<std::size_t> done{0};
-    std::mutex io_mutex;
-    // contract-trusted: determinism: progress timing only; raw-stream
-    // wall_s and stderr progress, never canonical output (see sink.hpp)
-    const auto start = std::chrono::steady_clock::now();
-    for (const std::size_t i : order) {
-      if (slots[i].has_value()) continue;  // resumed from the stream
-      pool.submit([this, &coords, &slots, &errors, &done, &io_mutex, &sink,
-                   start, to_run, quiet, i] {
-        try {
-          // contract-trusted: determinism: per-cell wall_s is a
-          // raw-stream-only field, excluded from canonical output
-          const auto cell_start = std::chrono::steady_clock::now();
-          CellResult cell = run_cell(spec_, coords[i]);
-          const double wall =
-              // contract-trusted: determinism: raw-stream wall_s only
-              std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                            cell_start)
-                  .count();
-          if (sink) sink->append(i, cell, wall, spec_.on_cell_streamed);
-          slots[i].emplace(std::move(cell));
-        } catch (...) {
-          errors[i] = std::current_exception();
-        }
+  std::atomic<std::size_t> done{0};
+  std::mutex io_mutex;
+  // contract-trusted: determinism: progress timing only; raw-stream
+  // wall_s and stderr progress, never canonical output (see sink.hpp)
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<CellResult> ran = run_indexed<CellResult>(
+      spec_.threads, runs.size(), [&](std::size_t k) {
+        const std::size_t i = runs[k];
+        // contract-trusted: determinism: per-cell wall_s is a
+        // raw-stream-only field, excluded from canonical output
+        const auto cell_start = std::chrono::steady_clock::now();
+        CellResult cell = run_cell(spec_, coords[i]);
+        const double wall =
+            // contract-trusted: determinism: raw-stream wall_s only
+            std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          cell_start)
+                .count();
+        if (sink) sink->append(i, cell, wall, spec_.on_cell_streamed);
         const std::size_t finished = done.fetch_add(1) + 1;
         if (!quiet) {
           const double elapsed =
@@ -299,20 +274,20 @@ CampaignResult CampaignRunner::run() {
                                             start)
                   .count();
           const std::lock_guard<std::mutex> lock(io_mutex);
-          std::cerr << "[" << spec_.name << "] " << finished << "/" << to_run
-                    << " cells, " << static_cast<int>(elapsed * 10.0) / 10.0
+          std::cerr << "[" << spec_.name << "] " << finished << "/"
+                    << runs.size() << " cells, "
+                    << static_cast<int>(elapsed * 10.0) / 10.0
                     << "s elapsed\n";
         }
+        return cell;
       });
-    }
-    pool.wait_idle();
-  }
 
-  // Reduce in cell order: rethrow the lowest-index failure, else collect.
-  // A sharded run's result holds only this shard's cells; merge_streams
-  // reassembles the full campaign from the per-shard streams.
-  for (const std::size_t i : mine)
-    if (errors[i]) std::rethrow_exception(errors[i]);
+  // Reduce in cell order; run_indexed has already rethrown the
+  // lowest-index failure. A sharded run's result holds only this shard's
+  // cells; merge_streams reassembles the full campaign from the per-shard
+  // streams.
+  for (std::size_t k = 0; k < runs.size(); ++k)
+    slots[runs[k]].emplace(std::move(ran[k]));
   CampaignResult result;
   result.cells.reserve(mine.size());
   for (const std::size_t i : mine)

@@ -4,13 +4,13 @@
 // The paper's whole evaluation (§6, Figures 6-9, Tables 3-4) is a grid of
 // independent simulations: machine × job mix × allocator (× base seed ×
 // scheduler-option variant). CampaignSpec declares that grid, CampaignRunner
-// executes every cell as one independent run_continuous call on a
-// fixed-size worker pool (util/thread_pool.hpp), and CampaignResult holds
-// the per-cell SimResult + RunSummary in cell order for table shaping.
+// executes every cell as one independent run_continuous call through
+// run_indexed (util/parallel.hpp), and CampaignResult holds the per-cell
+// SimResult + RunSummary in cell order for table shaping.
 //
 // Determinism is the spine of the design:
 //   - every cell's RNG seed is *derived by hashing* (base seed, machine,
-//     mix, allocator) — never from iteration order, submission order or
+//     mix, allocator) — never from iteration order, completion order or
 //     thread ids (derive_cell_seed / derive_mix_seed below);
 //   - the mix-decoration seed deliberately excludes the allocator, so the
 //     allocator columns of one comparison group run the exact same
@@ -20,7 +20,7 @@
 //     reference; each cell copies the base log for decoration and owns a
 //     private CommCache + CostWorkspace inside its run_continuous call;
 //   - results are reduced in cell order, so rendered tables/CSV are
-//     bit-identical at any thread count and under any submission order.
+//     bit-identical at any thread count and in any completion order.
 #pragma once
 
 #include <cstdint>
@@ -80,8 +80,8 @@ struct CampaignSpec {
   std::vector<std::uint64_t> base_seeds;
   std::vector<OptionsVariant> variants{{}};
 
-  /// Worker threads; <= 0 uses ThreadPool::default_thread_count()
-  /// (COMMSCHED_THREADS env, then hardware concurrency).
+  /// Worker threads; <= 0 uses default_thread_count() (COMMSCHED_THREADS
+  /// env, then hardware concurrency).
   int threads = 0;
 
   /// Suppress progress reporting (also settable via COMMSCHED_QUIET).
@@ -91,11 +91,6 @@ struct CampaignSpec {
   /// extension mix on one machine only). Must be a pure function of the
   /// coordinates for the cell list to stay deterministic.
   std::function<bool(const CampaignSpec&, const CellCoord&)> filter;
-
-  /// Testing hook: order in which cells are handed to the pool (a
-  /// permutation of cell indices). Output must not depend on it; empty
-  /// means natural order.
-  std::vector<std::size_t> submission_order;
 
   // --- Persistence & process sharding (DESIGN.md "Campaign persistence,
   // sharding & resume"). ---
@@ -182,9 +177,9 @@ std::uint64_t derive_cell_seed(std::uint64_t base, std::string_view machine,
                                std::string_view mix,
                                std::string_view allocator);
 
-/// Execute every admitted cell of `spec` on a worker pool and reduce in
+/// Execute every admitted cell of `spec` through run_indexed and reduce in
 /// cell order. Exceptions thrown inside cells are rethrown on the calling
-/// thread (lowest cell index wins) after the pool drains.
+/// thread (lowest cell index wins) after every cell has run.
 class CampaignRunner {
  public:
   explicit CampaignRunner(CampaignSpec spec);

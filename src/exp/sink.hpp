@@ -64,7 +64,7 @@ ShardConfig resolve_shard(const CampaignSpec& spec);
 
 /// Deterministic shard of one cell: hash of the cell's axis *labels*
 /// (machine, mix, allocator, variant names and the resolved base seed) mod
-/// shard_count. Independent of thread count, submission order, filter
+/// shard_count. Independent of thread count, completion order, filter
 /// shape and platform.
 int shard_of_cell(const CampaignSpec& spec, const CellCoord& c,
                   int shard_count);

@@ -160,8 +160,7 @@ class Simulation {
                            options.audit.value_or(audit_level_from_env())))),
         model_(tree, options.cost_options),
         io_model_(tree),
-        runtime_opts_(runtime_options_from_env(options.runtime_options)),
-        degrade_(tree, options.degradation, runtime_opts_),
+        degrade_(tree, options.degradation, options.runtime_options),
         dynamic_(options.degradation.enabled),
         auditor_(tree, options.audit.value_or(audit_level_from_env())) {
     results_.resize(log.size());
@@ -681,7 +680,7 @@ class Simulation {
       actual_runtime = modified_runtime_with_io(
           job.runtime, price_comm ? job.comm_fraction : 0.0, priced,
           priced_default, price_io ? job.io_fraction : 0.0, io_cost,
-          io_cost_default, runtime_opts_);
+          io_cost_default, options_.runtime_options);
 
     // Static mode clamps the Eq. 7 runtime at allocation time; dynamic mode
     // leaves the base runtime unclamped and lets the walltime cap act on the
@@ -883,9 +882,6 @@ class Simulation {
   // CostOptions select feeds the Eq. 7 ratio.
   CostModel model_;
   IoModel io_model_;  // §7 I/O extension
-  // Eq. 7 clamps after the COMMSCHED_RUNTIME_CLAMP env override; feeds both
-  // the static runtime model and the degradation model's upper clamp.
-  RuntimeModelOptions runtime_opts_;
   DegradationModel degrade_;  // colocation degradation (DESIGN.md)
   const bool dynamic_;        // degradation.enabled: runtime re-evaluation on
   CostWorkspace workspace_;   // cost-kernel scratch for model_

@@ -74,9 +74,7 @@ struct SchedOptions {
   /// (§6.1). JobResult.cost / cost_default always record the *unweighted*
   /// Eq. 6 cost, as plotted in Figure 8.
   CostOptions cost_options{.hop_bytes = true};
-  /// Eq. 7 ratio clamps. The simulator resolves these through
-  /// runtime_options_from_env(), so COMMSCHED_RUNTIME_CLAMP ("min:max")
-  /// overrides whatever is set here — mirroring the COMMSCHED_AUDIT knob.
+  /// Eq. 7 ratio clamps; the upper one also caps the degradation factor.
   RuntimeModelOptions runtime_options{};
   /// Dynamic interference (DESIGN.md "Dynamic interference"): when
   /// degradation.enabled, every running communication-intensive job's

@@ -17,8 +17,7 @@ namespace {
 }
 
 constexpr const char* kSaParams =
-    "sa, sa_budget=<int>, sa_seed=<uint64>, sa_t0=<float>, "
-    "sa_cooling=<float>, sa_patience=<int>, sa_verify=<int>";
+    "sa, sa_budget=<int>, sa_seed=<uint64>, sa_verify=<int>";
 
 /// One SelectTypeParameters token: `sa` selects the SA policy, the sa_*
 /// knobs map onto SaOptions.
@@ -43,18 +42,6 @@ void apply_select_param(SlurmConf& conf, const std::string& tok, int lineno) {
     const auto v = parse_uint64(pval);
     if (!v) bad_value(pkey, pval, lineno);
     sa.seed = *v;
-  } else if (pkey == "sa_t0") {
-    const auto v = parse_double(pval);
-    if (!v || *v < 0.0) bad_value(pkey, pval, lineno);
-    sa.init_temp_frac = *v;
-  } else if (pkey == "sa_cooling") {
-    const auto v = parse_double(pval);
-    if (!v || *v <= 0.0 || *v > 1.0) bad_value(pkey, pval, lineno);
-    sa.cooling = *v;
-  } else if (pkey == "sa_patience") {
-    const auto v = parse_int_at_least(pval, 0);
-    if (!v) bad_value(pkey, pval, lineno);
-    sa.patience = *v;
   } else if (pkey == "sa_verify") {
     const auto v = parse_int_at_least(pval, 0);
     if (!v) bad_value(pkey, pval, lineno);
@@ -220,20 +207,6 @@ std::string write_slurm_conf(const SlurmConf& conf) {
     if (conf.sched.allocator == AllocatorKind::kSa) add("sa");
     if (sa.budget != def.budget) add("sa_budget=" + std::to_string(sa.budget));
     if (sa.seed != def.seed) add("sa_seed=" + std::to_string(sa.seed));
-    if (sa.init_temp_frac != def.init_temp_frac) {
-      std::ostringstream v;
-      v.precision(17);
-      v << "sa_t0=" << sa.init_temp_frac;
-      add(v.str());
-    }
-    if (sa.cooling != def.cooling) {
-      std::ostringstream v;
-      v.precision(17);
-      v << "sa_cooling=" << sa.cooling;
-      add(v.str());
-    }
-    if (sa.patience != def.patience)
-      add("sa_patience=" + std::to_string(sa.patience));
     if (sa.verify_stride != def.verify_stride)
       add("sa_verify=" + std::to_string(sa.verify_stride));
     const std::string rendered = params.str();

@@ -2,10 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
 #include "util/assert.hpp"
-#include "util/strings.hpp"
 
 namespace commsched {
 namespace {
@@ -65,47 +62,6 @@ TEST(ModifiedRuntimeTest, RejectsInvalidInput) {
   EXPECT_THROW(modified_runtime(-1.0, 0.5, 1.0, 1.0), InvariantError);
   EXPECT_THROW(modified_runtime(1.0, -0.1, 1.0, 1.0), InvariantError);
   EXPECT_THROW(modified_runtime(1.0, 1.1, 1.0, 1.0), InvariantError);
-}
-
-// RAII guard so a throwing assertion cannot leak the variable into later
-// tests (mirrors AuditLevelTest.EnvSelectsLevel in auditor_test.cpp).
-class RuntimeClampEnvTest : public ::testing::Test {
- protected:
-  void TearDown() override { unsetenv("COMMSCHED_RUNTIME_CLAMP"); }
-};
-
-TEST_F(RuntimeClampEnvTest, UnsetOrEmptyReturnsBase) {
-  const RuntimeModelOptions base{.min_ratio = 0.25, .max_ratio = 4.0};
-  unsetenv("COMMSCHED_RUNTIME_CLAMP");
-  RuntimeModelOptions got = runtime_options_from_env(base);
-  EXPECT_DOUBLE_EQ(got.min_ratio, 0.25);
-  EXPECT_DOUBLE_EQ(got.max_ratio, 4.0);
-  setenv("COMMSCHED_RUNTIME_CLAMP", "", 1);
-  got = runtime_options_from_env(base);
-  EXPECT_DOUBLE_EQ(got.min_ratio, 0.25);
-  EXPECT_DOUBLE_EQ(got.max_ratio, 4.0);
-}
-
-TEST_F(RuntimeClampEnvTest, MinColonMaxReplacesBothClamps) {
-  setenv("COMMSCHED_RUNTIME_CLAMP", "0.1:5", 1);
-  const RuntimeModelOptions got = runtime_options_from_env();
-  EXPECT_DOUBLE_EQ(got.min_ratio, 0.1);
-  EXPECT_DOUBLE_EQ(got.max_ratio, 5.0);
-}
-
-TEST_F(RuntimeClampEnvTest, SingleValueReplacesOnlyUpperClamp) {
-  setenv("COMMSCHED_RUNTIME_CLAMP", "3", 1);
-  const RuntimeModelOptions got =
-      runtime_options_from_env({.min_ratio = 0.5, .max_ratio = 20.0});
-  EXPECT_DOUBLE_EQ(got.min_ratio, 0.5);
-  EXPECT_DOUBLE_EQ(got.max_ratio, 3.0);
-}
-
-TEST_F(RuntimeClampEnvTest, MalformedOrInvertedRangeThrows) {
-  for (const char* bad : {"abc", "1:zz", ":", "5:1", "0:2", "-1:2", "0"}) {
-    setenv("COMMSCHED_RUNTIME_CLAMP", bad, 1);
-    EXPECT_THROW(runtime_options_from_env(), ParseError) << bad;
-  }
 }
 
 }  // namespace

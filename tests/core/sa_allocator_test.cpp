@@ -144,11 +144,11 @@ TEST_F(SaAllocatorFixture, ComputeJobsFollowTheAdaptiveRule) {
 }
 
 TEST_F(SaAllocatorFixture, EveryProposalConsumesBudget) {
-  // patience 0 runs out the budget: each proposal counts against it,
-  // feasible or not, and a multi-slot anneal has no early exit.
+  // A budget below the patience runs out first: each proposal counts
+  // against it, feasible or not, and a multi-slot anneal has no early exit.
   SaOptions opts;
   opts.budget = 32;
-  opts.patience = 0;
+  ASSERT_LT(opts.budget, kSaPatience);
   const SaAllocator sa(CostOptions{.hop_bytes = true}, opts);
   std::vector<NodeId> nodes;
   ASSERT_TRUE(sa.select_into(state_, comm_request(8), nodes));

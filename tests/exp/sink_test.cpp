@@ -148,7 +148,6 @@ TEST(SpecFingerprint, TracksIdentityNotExecutionKnobs) {
   knobs.quiet = false;
   knobs.stream_path = "/tmp/elsewhere.jsonl";
   knobs.resume = false;
-  knobs.submission_order = {5, 4, 3, 2, 1, 0};
   EXPECT_EQ(base, spec_fingerprint(knobs));
 
   CampaignSpec renamed = tiny_spec(1);

@@ -190,8 +190,8 @@ TEST(DynamicInterferenceTest, ColocationPolicyRanksLightLoadsFirst) {
   EXPECT_EQ(base.jobs[1].start_time, 10.0);
 }
 
-// COMMSCHED_RUNTIME_CLAMP caps the degradation factor too: the model's
-// upper clamp is RuntimeModelOptions::max_ratio after the env override.
+// SchedOptions::runtime_options caps the degradation factor too: the
+// model's upper clamp is RuntimeModelOptions::max_ratio.
 TEST(DynamicInterferenceTest, RuntimeClampBoundsDegradation) {
   const Tree tree = make_two_level_tree(2, 4);
   const JobLog log{comm_job(1, 0.0, 2, 100.0, 0.5),

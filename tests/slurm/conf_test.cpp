@@ -89,14 +89,10 @@ TEST(SlurmConfTest, Rejections) {
 TEST(SlurmConfTest, SelectTypeParametersConfigureTheSaAllocator) {
   const SlurmConf conf = parse(
       "JobAware=sa\n"
-      "SelectTypeParameters=sa_budget=5000, sa_seed=7, sa_t0=0.25,"
-      "sa_cooling=0.9,sa_patience=100,sa_verify=16\n");
+      "SelectTypeParameters=sa_budget=5000, sa_seed=7,sa_verify=16\n");
   EXPECT_EQ(conf.sched.allocator, AllocatorKind::kSa);
   EXPECT_EQ(conf.sched.sa.budget, 5000);
   EXPECT_EQ(conf.sched.sa.seed, 7u);
-  EXPECT_EQ(conf.sched.sa.init_temp_frac, 0.25);
-  EXPECT_EQ(conf.sched.sa.cooling, 0.9);
-  EXPECT_EQ(conf.sched.sa.patience, 100);
   EXPECT_EQ(conf.sched.sa.verify_stride, 16);
 
   // The bare `sa` token alone selects the policy (knobs stay default).
@@ -108,10 +104,6 @@ TEST(SlurmConfTest, SelectTypeParametersConfigureTheSaAllocator) {
 TEST(SlurmConfTest, SelectTypeParametersRejections) {
   EXPECT_THROW(parse("SelectTypeParameters=cr_core\n"), ParseError);
   EXPECT_THROW(parse("SelectTypeParameters=sa_budget=lots\n"), ParseError);
-  EXPECT_THROW(parse("SelectTypeParameters=sa_cooling=0\n"), ParseError);
-  EXPECT_THROW(parse("SelectTypeParameters=sa_cooling=1.5\n"), ParseError);
-  EXPECT_THROW(parse("SelectTypeParameters=sa_t0=-0.1\n"), ParseError);
-  EXPECT_THROW(parse("SelectTypeParameters=sa_patience=-1\n"), ParseError);
   EXPECT_THROW(parse("SelectTypeParameters=sa_verify=-2\n"), ParseError);
   // Unknown-token errors teach the valid vocabulary.
   try {
@@ -130,7 +122,6 @@ TEST(SlurmConfTest, IntegerValuesThatWouldWrapAreRejected) {
   for (const char* line :
        {"SelectTypeParameters=sa_budget=4294967297\n",
         "SelectTypeParameters=sa_budget=-2147483649\n",
-        "SelectTypeParameters=sa_patience=4294967297\n",
         "SelectTypeParameters=sa_verify=2147483648\n",
         "AllocdParameters=queue=4294967297\n",
         "AllocdParameters=deadline_ms=4294967296\n",
@@ -174,17 +165,11 @@ TEST(SlurmConfTest, SaKnobsRoundTripThroughWrite) {
   conf.sched.allocator = AllocatorKind::kSa;
   conf.sched.sa.budget = 4321;
   conf.sched.sa.seed = 99;
-  conf.sched.sa.init_temp_frac = 0.125;
-  conf.sched.sa.cooling = 0.875;
-  conf.sched.sa.patience = 33;
   conf.sched.sa.verify_stride = 8;
   const SlurmConf parsed = parse(write_slurm_conf(conf));
   EXPECT_EQ(parsed.sched.allocator, AllocatorKind::kSa);
   EXPECT_EQ(parsed.sched.sa.budget, conf.sched.sa.budget);
   EXPECT_EQ(parsed.sched.sa.seed, conf.sched.sa.seed);
-  EXPECT_EQ(parsed.sched.sa.init_temp_frac, conf.sched.sa.init_temp_frac);
-  EXPECT_EQ(parsed.sched.sa.cooling, conf.sched.sa.cooling);
-  EXPECT_EQ(parsed.sched.sa.patience, conf.sched.sa.patience);
   EXPECT_EQ(parsed.sched.sa.verify_stride, conf.sched.sa.verify_stride);
 
   // Defaults stay silent: a default-constructed conf emits no

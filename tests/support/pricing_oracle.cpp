@@ -47,8 +47,6 @@ OracleReplay replay_start_pricing(const Tree& tree, const JobLog& log,
                                          options.cost_options.include_candidate});
   const CostModel pricing(tree, options.cost_options);
   const IoModel io_model(tree);
-  const RuntimeModelOptions runtime =
-      runtime_options_from_env(options.runtime_options);
   const bool is_default = options.allocator == AllocatorKind::kDefault;
   CostWorkspace ws;
 
@@ -116,7 +114,7 @@ OracleReplay replay_start_pricing(const Tree& tree, const JobLog& log,
       s.actual_runtime = modified_runtime_with_io(
           job.runtime, price_comm ? job.comm_fraction : 0.0, priced,
           priced_default, price_io ? job.io_fraction : 0.0, io_cost,
-          io_cost_default, runtime);
+          io_cost_default, options.runtime_options);
     if (options.enforce_walltime && s.actual_runtime > job.walltime)
       s.actual_runtime = job.walltime;
     s.end_time = event.time + s.actual_runtime;

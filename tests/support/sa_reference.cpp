@@ -117,11 +117,11 @@ ReferenceSaPick reference_sa_select(const ClusterState& state,
                      splitmix64(static_cast<std::uint64_t>(request.job))));
   double current = begin;
   double best = begin;
-  double temp = options.init_temp_frac * begin;
+  double temp = kSaInitTempFrac * begin;
   int since_best = 0;
   MoveProposal prop;
   for (int it = 0; it < options.budget; ++it) {
-    if (options.patience > 0 && since_best >= options.patience) break;
+    if (since_best >= kSaPatience) break;
     propose_move(tree, cur, cand, rng, prop);
     ++pick.proposals;
     bool new_best = false;
@@ -148,7 +148,7 @@ ReferenceSaPick reference_sa_select(const ClusterState& state,
       }
     }
     since_best = new_best ? 0 : since_best + 1;
-    temp *= options.cooling;
+    temp *= kSaCooling;
   }
   pick.nodes = materialize(state, shape, seed, orig, best_leaf);
   pick.cost = best;

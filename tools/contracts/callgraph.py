@@ -114,7 +114,7 @@ EXTERNAL_NS = frozenset({
 #: on a receiver whose type the parser could not determine is overwhelmingly
 #: a std call, not a repo method that happens to share the name — without
 #: this, `sparse_slot_.find(...)` would resolve to JsonValue::find and every
-#: `.size()` to ThreadPool::size. Repo receivers keep full resolution via
+#: `.size()` to IndexSet::size. Repo receivers keep full resolution via
 #: receiver typing (member/local/param types are tracked).
 STD_CONTAINER_METHODS = frozenset({
     "size", "empty", "begin", "end", "cbegin", "cend", "rbegin", "rend",

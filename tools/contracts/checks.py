@@ -9,8 +9,8 @@ no-alloc      roots = every function annotated `// hot-path: no-alloc`.
               Every waiver is inventoried.
 
 thread-safe   roots = the campaign worker entry (run_cell), the methods
-              named in NAMED_THREAD_ROOTS (the thread-pool worker loop, the
-              allocator daemon's event loop and the service it drives),
+              named in NAMED_THREAD_ROOTS (the allocator daemon's event
+              loop and the service it drives),
               and every const method of CostModel (the class is documented
               as share-across-threads). Reachable functions must be
               annotated `// thread-safe:`, or carry no unjustified static
@@ -185,7 +185,6 @@ def check_no_alloc(prog: Program) -> tuple[list[Violation], list[TrustEntry],
 #: loop thread runs beside the other threads of the process that embeds
 #: the server, so what it reaches must be free of unjustified statics too.
 NAMED_THREAD_ROOTS = (
-    ("ThreadPool", "worker_loop"),
     ("Server", "run_loop"),
     ("AllocatorService", "handle"),
 )
