@@ -56,11 +56,16 @@ int main(int argc, char** argv) {
   std::string machine = "theta";
   int jobs = 400;
   int buckets = 18;
-  for (int i = 1; i + 1 < argc; i += 2) {
+  for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--machine") machine = argv[i + 1];
-    else if (arg == "--jobs") jobs = count_arg(arg, argv[i + 1]);
-    else if (arg == "--buckets") buckets = count_arg(arg, argv[i + 1]);
+    const auto next = [&]() -> std::string {
+      if (i + 1 >= argc) usage("missing value for " + arg);
+      return argv[++i];
+    };
+    if (arg == "--machine") machine = next();
+    else if (arg == "--jobs") jobs = count_arg(arg, next());
+    else if (arg == "--buckets") buckets = count_arg(arg, next());
+    else usage("unknown argument '" + arg + "'");
   }
 
   const Tree tree = make_machine(machine);

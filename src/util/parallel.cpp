@@ -12,10 +12,10 @@ namespace commsched {
 int default_thread_count() {
   if (const char* v = std::getenv("COMMSCHED_THREADS");
       v != nullptr && *v != '\0') {
-    const auto parsed = parse_int(v);
-    COMMSCHED_ASSERT_MSG(parsed.has_value() && *parsed > 0,
+    const auto parsed = parse_int_at_least(v, 1);
+    COMMSCHED_ASSERT_MSG(parsed.has_value(),
                          "COMMSCHED_THREADS must be a positive integer");
-    return static_cast<int>(*parsed);
+    return *parsed;
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;

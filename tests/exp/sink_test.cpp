@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -308,6 +309,37 @@ TEST(CampaignRunner, StreamsEveryCellAndResumesFromTheFile) {
   const CampaignResult fresh = CampaignRunner(other).run();
   for (const CellResult& cell : fresh.cells) EXPECT_FALSE(cell.resumed);
   EXPECT_EQ(load_stream(path).header.fingerprint, spec_fingerprint(other));
+}
+
+TEST(CampaignRunner, AFailedCellRethrowsOnlyAfterTheOtherCellsStream) {
+  const auto dir = test_dir("failed_cell");
+  const std::string path = (dir / "campaign.jsonl").string();
+  const std::string expected_csv =
+      campaign_table(CampaignRunner(tiny_spec(1)).run()).render_csv();
+
+  // The hook runs on the worker that streamed the cell, so throwing from it
+  // fails that cell after its line has landed.
+  CampaignSpec spec = tiny_spec(4);
+  spec.stream_path = path;
+  spec.on_cell_streamed = [](std::size_t streamed) {
+    if (streamed == 2) throw std::runtime_error("second streamed cell failed");
+  };
+  try {
+    (void)CampaignRunner(spec).run();
+    FAIL() << "expected the failed cell's exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "second streamed cell failed");
+  }
+  EXPECT_EQ(load_stream(path).cells.size(), 6u)
+      << "a failed cell must not stop the other cells";
+
+  // Resuming runs nothing and reduces to the bytes of a run that never
+  // failed.
+  spec.on_cell_streamed = nullptr;
+  const CampaignResult resumed = CampaignRunner(spec).run();
+  ASSERT_EQ(resumed.cells.size(), 6u);
+  for (const CellResult& cell : resumed.cells) EXPECT_TRUE(cell.resumed);
+  EXPECT_EQ(campaign_table(resumed).render_csv(), expected_csv);
 }
 
 TEST(CampaignRunner, ShardedRunsMergeToTheSingleProcessBytes) {

@@ -13,6 +13,8 @@
 #include <thread>
 #include <vector>
 
+#include "util/assert.hpp"
+
 namespace commsched {
 namespace {
 
@@ -21,6 +23,59 @@ TEST(RunIndexed, DefaultThreadCountHonorsEnv) {
   EXPECT_EQ(default_thread_count(), 3);
   ::unsetenv("COMMSCHED_THREADS");
   EXPECT_GE(default_thread_count(), 1);
+}
+
+TEST(RunIndexed, DefaultThreadCountRejectsNonPositiveOrMalformedEnv) {
+  // 2147483648 is INT_MAX + 1: rejected rather than narrowed to an int.
+  for (const char* bad : {"0", "-3", "abc", "2x", "2147483648"}) {
+    ::setenv("COMMSCHED_THREADS", bad, 1);
+    EXPECT_THROW((void)default_thread_count(), InvariantError) << bad;
+  }
+  ::setenv("COMMSCHED_THREADS", "", 1);
+  EXPECT_GE(default_thread_count(), 1) << "empty falls back to the hardware";
+  ::unsetenv("COMMSCHED_THREADS");
+}
+
+TEST(RunIndexed, NonPositiveThreadsUseTheDefaultThreadCount) {
+  ::setenv("COMMSCHED_THREADS", "2", 1);
+  for (const int threads : {0, -1}) {
+    // Two indices that each wait for the other to start need two workers.
+    std::mutex mu;
+    std::condition_variable both_started;
+    int started = 0;
+    const std::vector<int> met =
+        run_indexed<int>(threads, 2, [&](std::size_t) {
+          std::unique_lock<std::mutex> lock(mu);
+          ++started;
+          both_started.notify_all();
+          return both_started.wait_for(lock, std::chrono::seconds(10),
+                                       [&] { return started == 2; })
+                     ? 1
+                     : 0;
+        });
+    EXPECT_EQ(met, (std::vector<int>{1, 1})) << "threads " << threads;
+    // ...and no more than two ever run.
+    std::set<std::thread::id> ids;
+    (void)run_indexed<int>(threads, 64, [&](std::size_t) {
+      const std::lock_guard<std::mutex> lock(mu);
+      ids.insert(std::this_thread::get_id());
+      return 0;
+    });
+    EXPECT_LE(ids.size(), 2u) << "threads " << threads;
+  }
+  ::unsetenv("COMMSCHED_THREADS");
+}
+
+TEST(RunIndexed, MoreThreadsThanIndicesRunsEachIndexOnce) {
+  std::vector<std::atomic<int>> runs(3);
+  const std::vector<int> out =
+      run_indexed<int>(16, runs.size(), [&](std::size_t i) {
+        runs[i].fetch_add(1, std::memory_order_relaxed);
+        return static_cast<int>(i) + 10;
+      });
+  EXPECT_EQ(out, (std::vector<int>{10, 11, 12}));
+  for (std::size_t i = 0; i < runs.size(); ++i)
+    EXPECT_EQ(runs[i].load(), 1) << "index " << i;
 }
 
 TEST(RunIndexed, EveryIndexRunsOnceOnAWorkerThread) {
